@@ -132,20 +132,8 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     if g.is_zero():
         return f
 
-    def split(form):
-        cs = list(form.coeffs)
-        low = 0
-        while not cs[low]:
-            low += 1  # a^low divides
-        high = len(cs) - 1
-        while not cs[high]:
-            high -= 1
-        top = form.formal_degree - high  # b^top divides
-        core = cs[low : high + 1]
-        return low, top, core
-
-    la, ta, fa = split(f)
-    lb, tb, fb = split(g)
+    la, ta, fa = _split_parts(f)
+    lb, tb, fb = _split_parts(g)
     core = _poly_gcd(fa, fb, field)
     a_part = min(la, lb)
     b_part = min(ta, tb)
@@ -186,6 +174,16 @@ def derivative_a(f: BinaryForm) -> BinaryForm:
     return BinaryForm(field, out)
 
 
+def derivative_b(f: BinaryForm) -> BinaryForm:
+    """Partial derivative with respect to b."""
+    field = f.field
+    d = f.formal_degree
+    if d == 0:
+        return BinaryForm(field, [field.zero])
+    out = [field(d - i) * c for i, c in enumerate(f.coeffs[:-1])]
+    return BinaryForm(field, out)
+
+
 def divide_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Exact division of binary forms; raises if the division has a remainder."""
     field = f.field
@@ -202,7 +200,6 @@ def divide_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 
 def _split_parts(form: BinaryForm):
     cs = list(form.coeffs)
-    field = form.field
     if form.is_zero():
         raise ValidationError("cannot split the zero form")
     low = 0

@@ -32,24 +32,19 @@ from .classify import (
     enumerate_types,
     type_description,
 )
-from .curve import RationalNormalCurve
+from .curve import ExpansionCurveModel, RationalNormalCurve
 from .errors import GapcurveError, ValidationError
 from .fields import field_from_name
 from .gaps import (
     ALGEBRA_CLOSED,
+    TRUNCATION_CAP,
     VECTOR_SPACE,
     GapFunction,
     close_algebra,
     close_and_stabilize,
     key_lemma_holds,
 )
-from .project import (
-    ProjectionCenter,
-    ProjectionReport,
-    analyze,
-    analyze_at_points,
-    verify_genus_bound,
-)
+from .project import ProjectionCenter, analyze
 from .series import Ambient, SeriesSubspace, TruncatedSeries
 
 SCHEMA_VERSION = 1
@@ -87,7 +82,7 @@ class JobSpec:
         self.seed = obj.get("seed", 0)
         if not isinstance(self.seed, int):
             raise ValidationError("seed must be an integer")
-        self.truncation_cap = obj.get("truncation_cap", 64)
+        self.truncation_cap = obj.get("truncation_cap", TRUNCATION_CAP)
         if not isinstance(self.truncation_cap, int) or self.truncation_cap < 4:
             raise ValidationError("truncation_cap must be an integer >= 4")
         self.out = obj.get("out")
@@ -105,17 +100,17 @@ def _ser_seq(field, xs):
 
 
 def _point_json(field, point):
+    if isinstance(point, str):
+        return point  # a point name of a user-supplied curve model
     return [_ser(field, point.a), _ser(field, point.b)]
 
 
-def _report_json(report, field, points_as_names=False):
+def _report_json(report, field):
     clusters = []
     for cl in report.clusters:
         clusters.append(
             {
-                "points": list(cl.points)
-                if points_as_names
-                else [_point_json(field, p) for p in cl.points],
+                "points": [_point_json(field, p) for p in cl.points],
                 "branches": cl.branches,
                 "tangent": cl.tangent,
                 "delta": cl.delta,
@@ -221,10 +216,8 @@ _ANALYZE_KEYS = {"degree", "center", "enforce_hypotheses", "crosscheck", "certif
 def _parse_curve_model(field, degree, spec):
     """Built-in rational normal curve, or a user expansion-table model."""
     if spec is None:
-        return RationalNormalCurve(field, degree), None
+        return RationalNormalCurve(field, degree)
     _check_keys(spec, {"dim_w", "genus", "expansions"}, "curve_model")
-    from .curve import ExpansionCurveModel
-
     dim_w = spec.get("dim_w", degree + 1)
     genus = spec.get("genus", 0)
     tables = spec.get("expansions")
@@ -234,7 +227,21 @@ def _parse_curve_model(field, degree, spec):
         key: [[field.from_json(c) for c in row] for row in table]
         for key, table in tables.items()
     }
-    return ExpansionCurveModel(field, dim_w, degree, genus, parsed), sorted(parsed)
+    return ExpansionCurveModel(field, dim_w, degree, genus, parsed)
+
+
+def _parse_clusters(params):
+    """Optional lists of point names; they only make sense for a user model."""
+    clusters = params.get("clusters")
+    if clusters is None:
+        return None
+    if params.get("curve_model") is None:
+        raise ValidationError("clusters need a curve_model; built-in curves are searched")
+    if not isinstance(clusters, list) or not all(
+        isinstance(cl, list) and all(isinstance(key, str) for key in cl) for cl in clusters
+    ):
+        raise ValidationError("clusters must be lists of point names")
+    return clusters or None
 
 
 def _cmd_analyze(job: JobSpec, enforce_default=True):
@@ -244,66 +251,24 @@ def _cmd_analyze(job: JobSpec, enforce_default=True):
     if not isinstance(degree, int) or degree < 1:
         raise ValidationError("degree must be a positive integer")
     center = _parse_center(job.field, degree, params.get("center"))
-    curve, user_points = _parse_curve_model(job.field, degree, params.get("curve_model"))
+    curve = _parse_curve_model(job.field, degree, params.get("curve_model"))
+    clusters = _parse_clusters(params)
     import random as _random
 
-    rng = _random.Random(job.seed)
-    if user_points is None:
-        return analyze(
-            center,
-            curve,
-            enforce_hypotheses=params.get("enforce_hypotheses", enforce_default),
-            crosscheck=params.get("crosscheck", True),
-            certify=params.get("certify"),
-            truncation_cap=job.truncation_cap,
-            rng=rng,
-        )
-    # user model: no automatic ramification search; clusters are mandatory
-    clusters = params.get("clusters")
-    if not clusters:
-        raise ValidationError(
-            "user-supplied curve models need explicit clusters (lists of point names)"
-        )
-    for cluster in clusters:
-        for key in cluster:
-            if key not in user_points:
-                raise ValidationError(f"cluster references unknown point {key!r}")
-    reports = analyze_at_points(
+    return analyze(
         center,
         curve,
-        clusters,
+        clusters=clusters,
+        enforce_hypotheses=params.get("enforce_hypotheses", enforce_default),
         crosscheck=params.get("crosscheck", True),
-        truncation_cap=min(job.truncation_cap, curve.precision),
-        rng=rng,
+        certify=params.get("certify"),
+        truncation_cap=job.truncation_cap,
+        rng=_random.Random(job.seed),
     )
-    delta_total = sum(r.delta for r in reports)
-    hypotheses = {
-        "basepoint_free": None,
-        "two_ell_lt_d_minus_2g": 2 * center.ell < degree - 2 * curve.genus,
-        "ell_le_3": center.ell <= 3,
-        "n_gt_2": center.n > 2,
-    }
-    report = ProjectionReport(
-        field_name=job.field.name,
-        degree=degree,
-        n=center.n,
-        ell=center.ell,
-        genus=curve.genus,
-        hypotheses=hypotheses,
-        basepoint_free=None,  # not verifiable without point enumeration
-        birational=hypotheses["two_ell_lt_d_minus_2g"],
-        clusters=reports,
-        delta_total=delta_total,
-        genus_bound={},
-        completeness={"method": "manual clusters (user model)", "complete": None},
-    )
-    report.genus_bound = verify_genus_bound(report)
-    return report
 
 
 def _cmd_analyze_projection(job: JobSpec):
-    report = _cmd_analyze(job)
-    return _report_json(report, job.field, points_as_names=report.completeness["method"].startswith("manual"))
+    return _report_json(_cmd_analyze(job), job.field)
 
 
 def _cmd_verify_bounds(job: JobSpec):
@@ -311,7 +276,7 @@ def _cmd_verify_bounds(job: JobSpec):
     return {
         "hypotheses": report.hypotheses,
         "delta_total": report.delta_total,
-        "genus_bound": verify_genus_bound(report),
+        "genus_bound": report.genus_bound,
     }
 
 

@@ -201,12 +201,18 @@ class ExpansionCurveModel:
         return min(len(rows[0]) for rows in self._tables.values())
 
     def point(self, key):
-        if key not in self._tables:
-            raise ValidationError(f"no expansion table for point {key!r}")
+        self._table(key)
         return key
 
+    def _table(self, key):
+        """The expansion table at a named point; unknown names are input errors."""
+        table = self._tables.get(key)
+        if table is None:
+            raise ValidationError(f"no expansion table for point {key!r}")
+        return table
+
     def osc_rows(self, point, order: int):
-        table = self._tables[point]
+        table = self._table(point)
         if order > len(table[0]):
             raise ValidationError(
                 f"osculating order {order} exceeds table precision {len(table[0])}"
@@ -214,7 +220,7 @@ class ExpansionCurveModel:
         return [[row[j] for row in table] for j in range(order)]
 
     def section_value(self, coeffs, point):
-        table = self._tables[point]
+        table = self._table(point)
         acc = self.field.zero
         for c, row in zip(coeffs, table):
             c = self.field(c)
@@ -223,7 +229,7 @@ class ExpansionCurveModel:
         return acc
 
     def local_expansion(self, coeffs, point, truncation: int) -> TruncatedSeries:
-        table = self._tables[point]
+        table = self._table(point)
         if truncation > len(table[0]):
             raise ValidationError(
                 f"requested precision {truncation} exceeds table precision {len(table[0])}"

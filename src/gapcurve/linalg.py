@@ -138,6 +138,15 @@ def nullspace(rows, field, ncols: int):
     return basis
 
 
+def combine(coeffs, rows, field, width: int):
+    """sum_i coeffs[i] * rows[i] as a fresh row of the given width."""
+    out = [field.zero] * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            out = [acc + c * x for acc, x in zip(out, row)]
+    return out
+
+
 def solve_right(rows, rhs, field):
     """One solution x of A x = b, or None if inconsistent.
 
@@ -154,28 +163,6 @@ def solve_right(rows, rhs, field):
     for i, pc in enumerate(pivots):
         x[pc] = red[i][n]
     return x
-
-
-def row_space_intersection(a_rows, b_rows, field, ncols: int):
-    """Basis of rowspace(A) ∩ rowspace(B)."""
-    if not a_rows or not b_rows:
-        return []
-    na, nb = len(a_rows), len(b_rows)
-    # x·A = y·B  <=>  [A^T | -B^T] (x; y) = 0
-    stacked = []
-    for c in range(ncols):
-        stacked.append([a_rows[i][c] for i in range(na)] + [-b_rows[j][c] for j in range(nb)])
-    combos = nullspace(stacked, field, na + nb)
-    rows = []
-    for combo in combos:
-        v = [field.zero] * ncols
-        for i in range(na):
-            if combo[i]:
-                ci = combo[i]
-                v = [acc + ci * a for acc, a in zip(v, a_rows[i])]
-        rows.append(v)
-    red, _ = rref(rows, field)
-    return red
 
 
 def intersection_dim(a_rows, b_rows, field) -> int:

@@ -34,7 +34,13 @@ from .classify import (
     classify_ring,
     classify_vector_space,
 )
-from .curve import CurvePoint, Multifiltration, RationalNormalCurve
+from .curve import (
+    CurvePoint,
+    ExpansionCurveModel,
+    Multifiltration,
+    RationalNormalCurve,
+    _point_key,
+)
 from .errors import (
     ClassificationError,
     GapcurveError,
@@ -44,10 +50,8 @@ from .errors import (
     ValidationError,
 )
 from .fields import PrimeField
-from .gaps import VECTOR_SPACE, GapFunction, close_and_stabilize
+from .gaps import TRUNCATION_CAP, VECTOR_SPACE, GapFunction, close_and_stabilize
 from .series import Ambient, SeriesSubspace, TruncatedSeries
-
-TRUNCATION_CAP = 64
 
 
 class ProjectionCenter:
@@ -149,13 +153,12 @@ class ProjectionReport:
     ell: int
     genus: int
     hypotheses: dict
-    basepoint_free: bool | None  # None: not verifiable (user-supplied model)
+    basepoint_free: bool | None  # None: not checked (clusters supplied by the caller)
     birational: bool
     clusters: list
     delta_total: int
     genus_bound: dict
     completeness: dict
-    refused: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +289,6 @@ def _normalized_image(center: ProjectionCenter, curve, point: CurvePoint):
 # ramification over the rationals: symbolic elimination
 
 
-def _derivative_b(form: binforms.BinaryForm) -> binforms.BinaryForm:
-    field = form.field
-    d = form.formal_degree
-    if d == 0:
-        return binforms.BinaryForm(field, [field.zero])
-    out = [field(d - i) * c for i, c in enumerate(form.coeffs[:-1])]
-    return binforms.BinaryForm(field, out)
-
-
 def _tangency_form(center: ProjectionCenter):
     """gcd of the pairwise Wronskians of the forms of M."""
     field = center.field
@@ -302,9 +296,9 @@ def _tangency_form(center: ProjectionCenter):
     forms = [_dual_to_form(row, d, field) for row in center.m_basis()]
     acc = None
     for i in range(len(forms)):
-        fi_a, fi_b = binforms.derivative_a(forms[i]), _derivative_b(forms[i])
+        fi_a, fi_b = binforms.derivative_a(forms[i]), binforms.derivative_b(forms[i])
         for j in range(i + 1, len(forms)):
-            gj_a, gj_b = binforms.derivative_a(forms[j]), _derivative_b(forms[j])
+            gj_a, gj_b = binforms.derivative_a(forms[j]), binforms.derivative_b(forms[j])
             w = fi_a.mul(gj_b)
             w2 = fi_b.mul(gj_a)
             wr = binforms.BinaryForm(field, [x - y for x, y in zip(w.coeffs, w2.coeffs)])
@@ -372,65 +366,46 @@ def _secant_candidate_form(center: ProjectionCenter):
     return acc, contents
 
 
-def _partner_form(center: ProjectionCenter, point: CurvePoint):
+def _candidate_roots(center: ProjectionCenter):
+    """Yield (kind, base-field roots, residual degree) for the tangency form,
+    then for each secant candidate form; the roots cover every ramification
+    point defined over the base field."""
+    tform = _tangency_form(center)
+    if binforms.form_has_roots(tform):
+        yield "tangency", *binforms.projective_roots(tform)
+    sform, contents = _secant_candidate_form(center)
+    for cform in [sform] + contents:
+        if cform is not None and binforms.form_has_roots(cform):
+            yield "secant", *binforms.projective_roots(cform)
+
+
+def _partner_form(center: ProjectionCenter, curve, point: CurvePoint):
     """Form cutting out the partners of a point: roots of gcd{f in M : f(P)=0}."""
     field = center.field
     m_rows = center.m_basis()
-    vals = [[_form_value_at(row, point, center.degree, field)] for row in m_rows]
-    kernel = linalg.nullspace(
-        [[v[0] for v in vals]], field, len(m_rows)
-    )
+    vals = [curve.section_value(row, point) for row in m_rows]
     forms = []
-    for combo in kernel:
-        row = [field.zero] * (center.degree + 1)
-        for c, mrow in zip(combo, m_rows):
-            if c:
-                row = [acc + c * x for acc, x in zip(row, mrow)]
+    for combo in linalg.nullspace([vals], field, len(m_rows)):
+        row = linalg.combine(combo, m_rows, field, center.degree + 1)
         forms.append(_dual_to_form(row, center.degree, field))
     return binforms.gcd_many(forms)
 
 
-def _form_value_at(coeffs, point: CurvePoint, degree: int, field):
-    if point.at_infinity:
-        return field(coeffs[0])
-    acc = field.zero
-    a = point.a
-    apow = field.one
-    for k in range(degree, -1, -1):
-        c = field(coeffs[k])
-        if c:
-            acc = acc + c * apow
-        apow = apow * a
-    return acc
+_IRRATIONAL_CANDIDATES = {
+    "tangency": "tangential ramification over an extension field; "
+    "rerun over a prime field or supply clusters manually",
+    "secant": "unresolved secant-elimination factor (ramification possibly over "
+    "an extension field, or a spurious elimination factor); rerun over "
+    "a prime field or supply clusters manually",
+}
 
 
 def _ramification_symbolic_q(center: ProjectionCenter, curve):
     field = center.field
     candidates: dict[tuple, CurvePoint] = {}
-
-    tform = _tangency_form(center)
-    if binforms.form_has_roots(tform):
-        roots, residual = binforms.projective_roots(tform)
+    for kind, roots, residual in _candidate_roots(center):
         if residual:
-            raise IrrationalRamificationError(
-                "tangential ramification over an extension field; "
-                "rerun over a prime field or supply clusters manually"
-            )
-        for (a, b), _ in roots:
-            pt = CurvePoint(field, a, b)
-            candidates[(pt.a, pt.b)] = pt
-
-    sform, contents = _secant_candidate_form(center)
-    for cform in [sform] + contents:
-        if cform is None or not binforms.form_has_roots(cform):
-            continue
-        roots, residual = binforms.projective_roots(cform)
-        if residual:
-            raise IrrationalRamificationError(
-                "unresolved secant-elimination factor (ramification possibly over "
-                "an extension field, or a spurious elimination factor); rerun over "
-                "a prime field or supply clusters manually"
-            )
+            raise IrrationalRamificationError(_IRRATIONAL_CANDIDATES[kind])
         for (a, b), _ in roots:
             pt = CurvePoint(field, a, b)
             candidates[(pt.a, pt.b)] = pt
@@ -438,7 +413,7 @@ def _ramification_symbolic_q(center: ProjectionCenter, curve):
     # resolve each candidate's fiber exactly; drop non-ramified candidates
     confirmed: dict[tuple, CurvePoint] = {}
     for pt in list(candidates.values()):
-        g = _partner_form(center, pt)
+        g = _partner_form(center, curve, pt)
         roots, residual = binforms.projective_roots(g)
         if residual:
             raise IrrationalRamificationError(
@@ -493,20 +468,13 @@ def certify_no_extension_ramification(center: ProjectionCenter, curve) -> dict:
     complete."""
     if not isinstance(center.field, PrimeField):
         raise ValidationError("certification is a prime-field operation")
-    tform = _tangency_form(center)
-    t_res = 0
-    if binforms.form_has_roots(tform):
-        _, t_res = binforms.projective_roots(tform)
-    sform, contents = _secant_candidate_form(center)
-    s_res = 0
-    for cform in [sform] + contents:
-        if cform is not None and binforms.form_has_roots(cform):
-            _, extra = binforms.projective_roots(cform)
-            s_res += extra
+    residual = {"tangency": 0, "secant": 0}
+    for kind, _, extra in _candidate_roots(center):
+        residual[kind] += extra
     return {
-        "tangency_residual_degree": t_res,
-        "secant_candidate_residual_degree": s_res,
-        "complete": t_res == 0 and s_res == 0,
+        "tangency_residual_degree": residual["tangency"],
+        "secant_candidate_residual_degree": residual["secant"],
+        "complete": not any(residual.values()),
     }
 
 
@@ -526,10 +494,7 @@ def _choose_section(center: ProjectionCenter, curve, points, rng=None):
     rng = rng or _random.Random(20260808)
     for _ in range(64):
         combo = [field.random_element(rng) for _ in m_rows]
-        row = [field.zero] * (center.degree + 1)
-        for c, mrow in zip(combo, m_rows):
-            if c:
-                row = [acc + c * x for acc, x in zip(row, mrow)]
+        row = linalg.combine(combo, m_rows, field, center.degree + 1)
         if all(curve.section_value(row, p) for p in points):
             return row
     raise GapcurveError("could not find a section of M nonvanishing on the cluster")
@@ -555,7 +520,7 @@ def _cluster_series_builder(center, curve, points, s_coeffs):
 
 
 def _validate_cluster(center, curve, points):
-    if len(points) != len(set((getattr(p, "a", p), getattr(p, "b", None)) for p in points)):
+    if len(points) != len(set(_point_key(p) for p in points)):
         raise ValidationError("cluster points must be distinct")
     if len(points) >= 2:
         images = {_normalized_image(center, curve, p) for p in points}
@@ -580,8 +545,11 @@ def analyze_at_points(
     expansions, cross-checked cell by cell against the flag-side values
     dim(L cap F^alpha) for |alpha| <= d + 1 - 2*rho_g, classified via the
     vector-space table, and resolved through the algebra closure, which also
-    yields the singularity degree.
+    yields the singularity degree.  A user-supplied model's table precision
+    caps the truncation.
     """
+    if isinstance(curve, ExpansionCurveModel):
+        truncation_cap = min(truncation_cap, curve.precision)
     reports = []
     d = center.degree
     rho_g = curve.genus
@@ -683,13 +651,21 @@ def analyze(
     center: ProjectionCenter,
     curve,
     *,
+    clusters=None,
     enforce_hypotheses: bool = True,
     crosscheck: bool = True,
     certify: bool | None = None,
     truncation_cap: int = TRUNCATION_CAP,
     rng=None,
 ) -> ProjectionReport:
-    """check_center -> find_ramification -> analyze_at_points -> verdicts."""
+    """check_center -> find_ramification -> analyze_at_points -> verdicts.
+
+    ``clusters`` (lists of curve points, or of point names for a user-supplied
+    ExpansionCurveModel) replaces the basepoint check and the ramification
+    search: basepoint-freeness is then reported as None, completeness is not
+    assessed, and ``certify`` is ignored.  User-supplied models have no
+    automatic search, so they require clusters.
+    """
     d = center.degree
     ell = center.ell
     n = center.n
@@ -701,42 +677,51 @@ def analyze(
         "n_gt_2": n > 2,
     }
 
-    verdict = check_center(center, curve)
-    hypotheses["basepoint_free"] = verdict.basepoint_free
-    if verdict.indeterminate:
-        raise IndeterminateOverFieldError(verdict.detail)
-    if not verdict.basepoint_free:
-        raise HypothesisViolationError(
-            f"center meets the curve at {verdict.basepoints}; projection is not "
-            "induced by a basepoint-free system"
-        )
+    searched = clusters is None
+    if searched:
+        if not isinstance(curve, RationalNormalCurve):
+            raise ValidationError(
+                "user-supplied curve models need explicit clusters (lists of point names)"
+            )
+        verdict = check_center(center, curve)
+        hypotheses["basepoint_free"] = verdict.basepoint_free
+        if verdict.indeterminate:
+            raise IndeterminateOverFieldError(verdict.detail)
+        if not verdict.basepoint_free:
+            raise HypothesisViolationError(
+                f"center meets the curve at {verdict.basepoints}; projection is not "
+                "induced by a basepoint-free system"
+            )
     if enforce_hypotheses and not hypotheses["two_ell_lt_d_minus_2g"]:
         raise HypothesisViolationError(
             f"2*ell < d - 2*genus fails (ell={ell}, d={d}, genus={rho_g}); "
             "pass enforce_hypotheses=False to measure anyway"
         )
 
-    clusters = find_ramification(center, curve)
+    if searched:
+        clusters = [c.points for c in find_ramification(center, curve)]
     reports = analyze_at_points(
         center,
         curve,
-        [c.points for c in clusters],
+        clusters,
         crosscheck=crosscheck,
         truncation_cap=truncation_cap,
         rng=rng,
     )
     delta_total = sum(r.delta for r in reports)
 
-    completeness = {"method": None, "complete": None}
-    if isinstance(center.field, PrimeField):
-        completeness["method"] = "exhaustive scan of rational points"
+    if not searched:
+        completeness = {"method": "manual clusters (user model)", "complete": None}
+    elif isinstance(center.field, PrimeField):
+        # rational points only; not certified unless asked
+        completeness = {"method": "exhaustive scan of rational points", "complete": None}
         if certify:
             completeness.update(certify_no_extension_ramification(center, curve))
-        else:
-            completeness["complete"] = None  # rational points only; not certified
     else:
-        completeness["method"] = "symbolic elimination with rational root extraction"
-        completeness["complete"] = True  # unresolved loci raise instead
+        completeness = {
+            "method": "symbolic elimination with rational root extraction",
+            "complete": True,  # unresolved loci raise instead
+        }
 
     report = ProjectionReport(
         field_name=center.field.name,
@@ -745,7 +730,7 @@ def analyze(
         ell=ell,
         genus=rho_g,
         hypotheses=hypotheses,
-        basepoint_free=True,
+        basepoint_free=hypotheses["basepoint_free"],
         birational=hypotheses["two_ell_lt_d_minus_2g"],
         clusters=reports,
         delta_total=delta_total,

@@ -21,13 +21,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from . import linalg
 from .classify import SingularityType, concrete_type, vs_row_for
-from .curve import Multifiltration
+from .curve import Multifiltration, _point_key
 from .errors import GapcurveError, HypothesisViolationError, ValidationError
 from .fields import PrimeField
 from .project import ProjectionCenter, check_center
+from .series import Ambient, TruncatedSeries
 
 SAMPLE_RETRIES = 64
 
@@ -263,15 +265,6 @@ def _random_coeff(field, rng):
     return field(rng.randrange(-99, 100))
 
 
-def _random_combo(rows, field, rng, width):
-    out = [field.zero] * width
-    for row in rows:
-        c = _random_coeff(field, rng)
-        if c:
-            out = [acc + c * x for acc, x in zip(out, row)]
-    return out
-
-
 def _conditions_hold_exactly(center: ProjectionCenter, spec: SchubertSpec) -> bool:
     vdims = _vector_dims(spec.conditions)
     for alpha, rows in spec.flag:
@@ -281,6 +274,41 @@ def _conditions_hold_exactly(center: ProjectionCenter, spec: SchubertSpec) -> bo
         if got != want:
             return False
     return True
+
+
+def _draw_cell(specs, ell: int, curve, rng):
+    """Rows in the open cell: a random vector in each prescribed flag member
+    of every spec, padded by random vectors of V; None if they are dependent."""
+    field = curve.field
+    width = curve.dim_w
+    vectors = []
+    for s in specs:
+        flag_by_m = {sum(alpha): rows for alpha, rows in s.flag}
+        for m in _vector_dims(s.conditions):
+            rows = flag_by_m[m]
+            coeffs = [_random_coeff(field, rng) for _ in rows]
+            vectors.append(linalg.combine(coeffs, rows, field, width))
+    while len(vectors) < ell:
+        vectors.append([_random_coeff(field, rng) for _ in range(width)])
+    try:
+        return ProjectionCenter.from_rows(field, width - 1, vectors)
+    except ValidationError:
+        return None
+
+
+def _accept(specs, ell: int, curve, draw, failure: str) -> ProjectionCenter:
+    """Redraw until a center has dimension ell, meets every spec's closed
+    conditions exactly, and misses the curve."""
+    for _ in range(SAMPLE_RETRIES):
+        center = draw()
+        if (
+            center is not None
+            and center.ell == ell
+            and all(_conditions_hold_exactly(center, s) for s in specs)
+            and check_center(center, curve).basepoint_free
+        ):
+            return center
+    raise GapcurveError(failure)
 
 
 def sample_center(spec: SchubertSpec, seed, curve) -> ProjectionCenter:
@@ -293,45 +321,20 @@ def sample_center(spec: SchubertSpec, seed, curve) -> ProjectionCenter:
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     field = curve.field
-    if isinstance(field, PrimeField) and field.p < 101 and spec.stype.label not in _DEEP_TYPES:
+    deep = spec.stype.label in _DEEP_TYPES
+    if isinstance(field, PrimeField) and field.p < 101 and not deep:
         raise ValidationError("cell sampling wants a field with at least 101 elements")
-    d = curve.dim_w - 1
-    width = d + 1
-    last_err = None
-    for _ in range(SAMPLE_RETRIES):
-        if spec.stype.label in _DEEP_TYPES:
-            center = _sample_deep(spec, curve, rng)
-        else:
-            vdims = _vector_dims(spec.conditions)
-            flag_by_m = {sum(alpha): rows for alpha, rows in spec.flag}
-            vectors = [_random_combo(flag_by_m[m], field, rng, width) for m in vdims]
-            for _ in range(spec.ell - len(vectors)):
-                vectors.append(
-                    [_random_coeff(field, rng) for _ in range(width)]
-                )
-            try:
-                center = ProjectionCenter.from_rows(field, d, vectors)
-            except ValidationError:
-                continue
-        if center.ell != spec.ell:
-            continue
-        if not _conditions_hold_exactly(center, spec):
-            continue
-        if not check_center(center, curve).basepoint_free:
-            continue
-        return center
-    raise GapcurveError(
-        f"could not sample the {spec.stype.label} stratum in {SAMPLE_RETRIES} tries"
-        + (f" ({last_err})" if last_err else "")
-    )
+    if deep:
+        draw = partial(_sample_deep, spec, curve, rng)
+    else:
+        draw = partial(_draw_cell, [spec], spec.ell, curve, rng)
+    failure = f"could not sample the {spec.stype.label} stratum in {SAMPLE_RETRIES} tries"
+    return _accept([spec], spec.ell, curve, draw, failure)
 
 
 def sample_configuration(specs, ell: int, seed, curve) -> ProjectionCenter:
     """A center realizing several clusters at once (independent conditions)."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    field = curve.field
-    d = curve.dim_w - 1
-    width = d + 1
     if any(s.stype.label in _DEEP_TYPES for s in specs):
         raise ValidationError("deep pair members are only sampled as single clusters")
     total_delta = sum(s.stype.delta for s in specs)
@@ -342,31 +345,12 @@ def sample_configuration(specs, ell: int, seed, curve) -> ProjectionCenter:
     seen = set()
     for s in specs:
         for p in s.points:
-            key = (getattr(p, "a", p), getattr(p, "b", None))
+            key = _point_key(p)
             if key in seen:
                 raise ValidationError("configuration clusters must use distinct points")
             seen.add(key)
-    for _ in range(SAMPLE_RETRIES):
-        vectors = []
-        for s in specs:
-            vdims = _vector_dims(s.conditions)
-            flag_by_m = {sum(alpha): rows for alpha, rows in s.flag}
-            for m in vdims:
-                vectors.append(_random_combo(flag_by_m[m], field, rng, width))
-        for _ in range(ell - len(vectors)):
-            vectors.append([_random_coeff(field, rng) for _ in range(width)])
-        try:
-            center = ProjectionCenter.from_rows(field, d, vectors)
-        except ValidationError:
-            continue
-        if center.ell != ell:
-            continue
-        if not all(_conditions_hold_exactly(center, s) for s in specs):
-            continue
-        if not check_center(center, curve).basepoint_free:
-            continue
-        return center
-    raise GapcurveError("could not sample the joint configuration")
+    draw = partial(_draw_cell, specs, ell, curve, rng)
+    return _accept(specs, ell, curve, draw, "could not sample the joint configuration")
 
 
 def configuration_codim(types, d: int, n: int):
@@ -409,19 +393,6 @@ def _jet_matrix(curve, point, order: int):
     return rows
 
 
-def _poly_mul_mod(a, b, field, order):
-    out = [field.zero] * order
-    for i, x in enumerate(a):
-        if not x or i >= order:
-            continue
-        for j, y in enumerate(b):
-            if i + j >= order:
-                break
-            if y:
-                out[i + j] = out[i + j] + x * y
-    return out
-
-
 def _lift_jets(jet_rows, targets, field):
     """Forms whose expansions realize the target jets; plus the jet kernel."""
     ncols = len(jet_rows)
@@ -461,10 +432,12 @@ def _sample_2_7_cusp(spec: SchubertSpec, curve, rng) -> ProjectionCenter:
     (point,) = spec.points
     order = 6
     jets = _jet_matrix(curve, point, order)
-    u = _random_unit_jet(field, rng, order)
-    v = [field.zero, field.zero, field.one] + [_random_coeff(field, rng) for _ in range(3)]
-    v2 = _poly_mul_mod(v, v, field, order)
-    targets = [u, _poly_mul_mod(u, v, field, order), _poly_mul_mod(u, v2, field, order)]
+    amb = Ambient(field, 1, order)
+    u = TruncatedSeries(amb, [_random_unit_jet(field, rng, order)])
+    v = TruncatedSeries(
+        amb, [[field.zero, field.zero, field.one] + [_random_coeff(field, rng) for _ in range(3)]]
+    )
+    targets = [(u * v**k).coeffs[0] for k in range(3)]
     lifts, kernel = _lift_jets(jets, targets, field)
     return ProjectionCenter.from_linear_system(field, d, lifts + kernel)
 
@@ -480,8 +453,9 @@ def _sample_node_third_order(spec: SchubertSpec, curve, rng) -> ProjectionCenter
     p1, p2 = spec.points
     w1, w2 = 4, 3
     jets = [r1 + r2 for r1, r2 in zip(_jet_matrix(curve, p1, w1), _jet_matrix(curve, p2, w2))]
-    u1 = _random_unit_jet(field, rng, w1)
-    u2 = _random_unit_jet(field, rng, w2)
+    amb1, amb2 = Ambient(field, 1, w1), Ambient(field, 1, w2)
+    u1 = TruncatedSeries(amb1, [_random_unit_jet(field, rng, w1)])
+    u2 = TruncatedSeries(amb2, [_random_unit_jet(field, rng, w2)])
     a1 = [field.zero] + [_random_coeff(field, rng) for _ in range(w1 - 1)]
     while not a1[1]:
         a1[1] = _random_coeff(field, rng)
@@ -491,18 +465,16 @@ def _sample_node_third_order(spec: SchubertSpec, curve, rng) -> ProjectionCenter
     y1 = [field.zero, field.zero, field.zero, _random_coeff(field, rng)]
     while not y1[3]:
         y1[3] = _random_coeff(field, rng)
-    y2 = [field.zero] * w2
+    a1, a2 = TruncatedSeries(amb1, [a1]), TruncatedSeries(amb2, [a2])
 
     def pair(x1, x2):
-        return _poly_mul_mod(u1, x1, field, w1) + _poly_mul_mod(u2, x2, field, w2)
+        return (u1 * x1).coeffs[0] + (u2 * x2).coeffs[0]
 
-    one1 = [field.one] + [field.zero] * (w1 - 1)
-    one2 = [field.one] + [field.zero] * (w2 - 1)
     targets = [
-        pair(one1, one2),
+        pair(TruncatedSeries.unit(amb1), TruncatedSeries.unit(amb2)),
         pair(a1, a2),
-        pair(_poly_mul_mod(a1, a1, field, w1), _poly_mul_mod(a2, a2, field, w2)),
-        pair(y1, y2),
+        pair(a1 * a1, a2 * a2),
+        pair(TruncatedSeries(amb1, [y1]), TruncatedSeries.zero(amb2)),
     ]
     lifts, kernel = _lift_jets(jets, targets, field)
     return ProjectionCenter.from_linear_system(field, d, lifts + kernel)

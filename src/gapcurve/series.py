@@ -343,26 +343,18 @@ class SeriesSubspace:
             from itertools import product
 
             for combo in product(range(field.p), repeat=u):
-                if not any(combo):
-                    continue
-                vec = [field.zero] * r
-                for c, row in zip(combo, u_rows):
-                    if c:
-                        ce = field(c)
-                        vec = [a + ce * b for a, b in zip(vec, row)]
-                if all(vec):
+                vec = linalg.combine([field(c) for c in combo], u_rows, field, r)
+                if all(vec):  # the zero combination gives the zero vector
                     return True
             return False
         # Vandermonde sweep: coordinate i of v(c) = sum_j c^j u_j is a nonzero
         # polynomial in c of degree < u, so few c values can be bad.
         for trial in range(1, r * u + 2):
             c = field(trial)
-            vec = [field.zero] * r
-            mult = field.one
-            for row in u_rows:
-                vec = [a + mult * b for a, b in zip(vec, row)]
-                mult = mult * c
-            if all(vec):
+            powers = [field.one]
+            for _ in range(u - 1):
+                powers.append(powers[-1] * c)
+            if all(linalg.combine(powers, u_rows, field, r)):
                 return True
         return False
 

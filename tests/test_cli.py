@@ -238,6 +238,47 @@ def test_analyze_user_curve_model():
     assert code == 2
 
 
+def _user_model_job(**extra):
+    # the rational quintic's monomial expansions at (1:0), t = y/x
+    table = [[1 if j == k else 0 for j in range(14)] for k in range(6)]
+    model = {"dim_w": 6, "genus": 0, "expansions": {"Pinf": table}}
+    return quintic_345_job(curve_model=model, clusters=[["Pinf"]], **extra)
+
+
+def test_analyze_clusters_need_curve_model():
+    job = quintic_345_job(clusters=[["Pinf"]])
+    code, out = run_job(job)
+    assert code == 2 and out["error"]["kind"] == "ValidationError"
+    assert "curve_model" in out["error"]["message"]
+    code, out = run_job(quintic_345_job(curve_model=None, clusters=[["Pinf"]]))
+    assert code == 2 and out["error"]["kind"] == "ValidationError"
+
+
+def test_analyze_user_model_unknown_point():
+    job = _user_model_job()
+    job["params"]["clusters"] = [["nope"]]
+    code, out = run_job(job)
+    assert code == 2 and out["error"]["kind"] == "ValidationError"
+    job["params"]["clusters"] = [[["Pinf"]]]
+    code, out = run_job(job)
+    assert code == 2 and out["error"]["kind"] == "ValidationError"
+
+
+def test_analyze_user_model_hypothesis_gate():
+    job = _user_model_job()
+    job["params"]["curve_model"]["genus"] = 1  # ell = 2, d = 5: 2*ell < d - 2g fails
+    code, out = run_job(job)
+    assert code == 3 and out["error"]["kind"] == "HypothesisViolationError"
+    job["params"]["enforce_hypotheses"] = False
+    code, out = run_job(job)
+    assert code == 0
+    assert out["result"]["hypotheses"]["two_ell_lt_d_minus_2g"] is False
+    job["command"] = "verify-bounds"
+    del job["params"]["enforce_hypotheses"]
+    code, out = run_job(job)
+    assert code == 0 and out["result"]["genus_bound"]["hypotheses_hold"] is False
+
+
 def test_fuzz_key_lemma_job():
     job = {
         "command": "fuzz-key-lemma",

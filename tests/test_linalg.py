@@ -64,20 +64,6 @@ def test_solve_right_inconsistent():
     assert linalg.solve_right(rows, [field(1), field(2)], field) is None
 
 
-def test_row_space_intersection(field, rng):
-    # build two spaces sharing a planted common row
-    common = [field.random_element(rng) for _ in range(6)]
-    a = [common, [field.random_element(rng) for _ in range(6)]]
-    b = [common, [field.random_element(rng) for _ in range(6)]]
-    inter = linalg.row_space_intersection(a, b, field, 6)
-    assert len(inter) >= 1
-    assert len(inter) == linalg.intersection_dim(a, b, field)
-    # every intersection row is in both row spaces
-    for v in inter:
-        assert linalg.rank(a + [v], field) == linalg.rank(a, field)
-        assert linalg.rank(b + [v], field) == linalg.rank(b, field)
-
-
 def test_echelon_incremental_matches_batch(field, rng):
     vectors = [[field.random_element(rng) for _ in range(8)] for _ in range(10)]
     ech = linalg.Echelon(field, 8)

@@ -399,19 +399,61 @@ def test_delta_attained_inside_window():
         checked += 1
 
 
-def test_user_model_cluster_analysis_matches_builtin():
-    d = 5
+def _pinf_model(d=5, precision=16):
+    """Expansion tables of the rational curve's monomial basis at (1:0)."""
     curve = RationalNormalCurve(F, d)
-    c = quintic_345_center(F)
     inf = curve.point(1, 0)
-    precision = 16
     table = []
     for k in range(d + 1):
         row = [0] * (d + 1)
         row[k] = 1
         table.append(list(curve.local_expansion(row, inf, precision).coeffs[0]))
-    model = ExpansionCurveModel(F, d + 1, d, 0, {"Pinf": table})
-    got = analyze_at_points(c, model, [["Pinf"]], crosscheck=False)
-    want = analyze_at_points(c, curve, [[inf]])
+    return ExpansionCurveModel(F, d + 1, d, 0, {"Pinf": table})
+
+
+def test_user_model_cluster_analysis_matches_builtin():
+    curve = RationalNormalCurve(F, 5)
+    c = quintic_345_center(F)
+    got = analyze_at_points(c, _pinf_model(), [["Pinf"]], crosscheck=False)
+    want = analyze_at_points(c, curve, [[curve.point(1, 0)]])
     assert got[0].delta == want[0].delta == 2
     assert got[0].type_label == want[0].type_label == "2.1.a"
+
+
+def test_user_model_unknown_point_name():
+    c = quintic_345_center(F)
+    model = _pinf_model()
+    with pytest.raises(ValidationError):
+        analyze_at_points(c, model, [["nope"]])
+    with pytest.raises(ValidationError):
+        analyze(c, model, clusters=[["Pinf", "nope"]])
+    with pytest.raises(ValidationError):
+        model.osc_rows("nope", 1)
+
+
+def test_analyze_with_clusters(monkeypatch):
+    from gapcurve import project
+
+    c = quintic_345_center(F)
+    curve = RationalNormalCurve(F, 5)
+    inf = curve.point(1, 0)
+    searched = analyze(c, curve)
+    given = analyze(c, curve, clusters=[[inf]], certify=True)
+    assert given.basepoint_free is None and given.hypotheses["basepoint_free"] is None
+    assert given.completeness == {"method": "manual clusters (user model)", "complete": None}
+    assert [cl.type_label for cl in given.clusters] == ["2.1.a"]
+    assert given.clusters[0].delta == searched.clusters[0].delta == 2
+    assert given.genus_bound["holds"] and not given.genus_bound["hypotheses_hold"]
+
+    # a user model is never scanned: no basepoint verdict from the wrong curve
+    def no_scan(*args):
+        raise AssertionError("check_center called for a user-supplied model")
+
+    monkeypatch.setattr(project, "check_center", no_scan)
+    model = _pinf_model()
+    with pytest.raises(ValidationError):
+        analyze(c, model)
+    report = analyze(c, model, clusters=[["Pinf"]])
+    assert [cl.points for cl in report.clusters] == [["Pinf"]]
+    assert report.delta_total == 2
+
