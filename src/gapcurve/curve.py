@@ -246,7 +246,7 @@ class ExpansionCurveModel:
 
 
 def osc_subspace(curve, point, order: int):
-    """Echelonized basis of the osculating subspace V^i(P)."""
+    """Row-reduced basis of the osculating subspace V^i(P)."""
     rows = curve.osc_rows(point, order)
     red, _ = linalg.rref(rows, curve.field)
     return red

@@ -40,6 +40,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _fraction_literal(obj) -> Fraction:
+    """Parse a JSON int or "a/b" string; malformed text is a ValidationError."""
+    try:
+        return Fraction(obj)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"bad numeric literal {obj!r}") from None
+
+
 class GFElement:
     """An element of F_p.  Arithmetic partners must share the same field."""
 
@@ -182,7 +190,7 @@ class PrimeField:
 
     def from_json(self, obj) -> GFElement:
         if isinstance(obj, str):
-            return self(Fraction(obj))
+            return self(_fraction_literal(obj))
         if isinstance(obj, int):
             return self(obj)
         raise ValidationError(f"bad prime-field literal {obj!r}")
@@ -234,7 +242,7 @@ class RationalField:
 
     def from_json(self, obj) -> Fraction:
         if isinstance(obj, (int, str)):
-            return self(Fraction(obj))
+            return _fraction_literal(obj)
         raise ValidationError(f"bad rational literal {obj!r}")
 
     name = "rational"

@@ -21,6 +21,7 @@ from .errors import (
     StabilizationCapError,
     ValidationError,
 )
+from . import linalg
 from .series import SeriesSubspace, TruncatedSeries, quotient_dim
 
 VECTOR_SPACE = "vector-space"
@@ -153,32 +154,29 @@ def close_algebra(space: SeriesSubspace) -> SeriesSubspace:
     The input must contain a unit of S; this is a modeling requirement, not a
     convenience default, so no unit is ever adjoined silently.  The result is
     exact as a jet image of the generated subalgebra at the ambient precision.
+
+    Rounds multiply only the frontier by the input generators R0 and run one
+    rref.  The frontier is the rows with new pivots, a complement N of the old
+    span T, and T.R0 lies in T + N.R0, so the loop ends once T.R0 lies in T.
     """
     if not space.contains_unit():
         raise MissingUnitError(
             "subspace contains no unit of S (all-branch nonzero constant term)"
         )
-    from .linalg import Echelon
-
     ambient = space.ambient
-    ech = Echelon(ambient.field, ambient.width)
-    ech.rows = [list(r) for r in space.rows]
-    ech.pivots = list(space.pivots)
-
-    frontier = space.basis()
+    generators = space.basis()
+    rows, pivots = space.rows, space.pivots
+    frontier = generators
     while frontier:
-        everything = [TruncatedSeries.from_flat(ambient, r) for r in ech.rows]
-        fresh = []
-        seen = []
-        for f in frontier:
-            for g in everything:
-                prod = f * g
-                if ech.insert(prod.flat()):
-                    seen.append(prod)
-            fresh.extend(seen)
-            seen = []
-        frontier = fresh
-    return SeriesSubspace(ambient, ech.rows, ech.pivots)
+        products = [(f * g).flat() for f in frontier for g in generators]
+        old = set(pivots)
+        rows, pivots = linalg.rref(rows + products, ambient.field)
+        frontier = [
+            TruncatedSeries.from_flat(ambient, row)
+            for row, pc in zip(rows, pivots)
+            if pc not in old
+        ]
+    return SeriesSubspace(ambient, rows, pivots)
 
 
 def compositions(total: int, parts: int):

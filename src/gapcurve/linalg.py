@@ -173,49 +173,3 @@ def intersection_dim(a_rows, b_rows, field) -> int:
         return 0
     rab = rank(list(a_rows) + list(b_rows), field)
     return ra + rb - rab
-
-
-class Echelon:
-    """Incrementally maintained RREF basis, for closure-style loops."""
-
-    def __init__(self, field, ncols: int):
-        self.field = field
-        self.ncols = ncols
-        self.rows = []
-        self.pivots = []  # pivot column of each row, strictly increasing
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, vec):
-        """Residual of vec modulo the current row space (fresh list)."""
-        v = list(vec)
-        for row, pc in zip(self.rows, self.pivots):
-            c = v[pc]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
-
-    def insert(self, vec) -> bool:
-        """Reduce and insert; returns True if the dimension grew."""
-        v = self.reduce(vec)
-        pc = None
-        for c, x in enumerate(v):
-            if x:
-                pc = c
-                break
-        if pc is None:
-            return False
-        inv = self.field.one / v[pc]
-        v = [x * inv for x in v]
-        for i in range(len(self.rows)):
-            c = self.rows[i][pc]
-            if c:
-                self.rows[i] = [a - c * b for a, b in zip(self.rows[i], v)]
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < pc:
-            pos += 1
-        self.rows.insert(pos, v)
-        self.pivots.insert(pos, pc)
-        return True

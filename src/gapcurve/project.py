@@ -97,7 +97,7 @@ class ProjectionCenter:
         return cls(field, degree, kernel)
 
     def m_basis(self):
-        """Echelonized basis of M = L-perp inside the space of forms."""
+        """Row-reduced basis of M = L-perp inside the space of forms."""
         if self._m_rows is None:
             kernel = linalg.nullspace(self.rows, self.field, self.degree + 1)
             self._m_rows, _ = linalg.rref(kernel, self.field)

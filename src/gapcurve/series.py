@@ -11,6 +11,8 @@ Everything here is immutable after construction and safe to share.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import AmbientMismatchError, ValidationError
 from .fields import PrimeField
 from . import linalg
@@ -314,49 +316,35 @@ class SeriesSubspace:
     def contains(self, series: TruncatedSeries) -> bool:
         if series.ambient != self.ambient:
             raise AmbientMismatchError(f"{series.ambient} vs {self.ambient}")
-        ech = linalg.Echelon(self.field, self.ambient.width)
-        ech.rows = [list(r) for r in self.rows]
-        ech.pivots = list(self.pivots)
-        return not any(ech.reduce(series.flat()))
+        return linalg.rank(self.rows + [series.flat()], self.field) == self.dim
 
     def contains_unit(self) -> bool:
         """Is some element of the subspace a unit of S?
 
         Equivalent to: the projection U of the subspace onto the r constant
-        coordinates contains a vector with all coordinates nonzero.
+        coordinates contains a vector with all coordinates nonzero.  Once no
+        coordinate vanishes identically on U, each one vanishes on a proper
+        subspace, and a space over F_q is not a union of r <= q proper
+        subspaces; only p < r needs a search.
         """
         n = self.ambient.truncation
         r = self.ambient.branches
         const_cols = [i * n for i in range(r)]
         proj = [[row[c] for c in const_cols] for row in self.rows]
         u_rows, _ = linalg.rref(proj, self.field)
-        if not u_rows:
+        # some coordinate identically zero on U (or U = 0): no unit
+        if not all(any(row[i] for row in u_rows) for i in range(r)):
             return False
-        # some coordinate identically zero on U: no unit
-        for i in range(r):
-            if not any(row[i] for row in u_rows):
-                return False
-        u = len(u_rows)
         field = self.field
-        if isinstance(field, PrimeField) and field.p ** u <= 20000:
-            # small field: exhaust all combinations
-            from itertools import product
-
-            for combo in product(range(field.p), repeat=u):
-                vec = linalg.combine([field(c) for c in combo], u_rows, field, r)
-                if all(vec):  # the zero combination gives the zero vector
-                    return True
-            return False
-        # Vandermonde sweep: coordinate i of v(c) = sum_j c^j u_j is a nonzero
-        # polynomial in c of degree < u, so few c values can be bad.
-        for trial in range(1, r * u + 2):
-            c = field(trial)
-            powers = [field.one]
-            for _ in range(u - 1):
-                powers.append(powers[-1] * c)
-            if all(linalg.combine(powers, u_rows, field, r)):
-                return True
-        return False
+        if not isinstance(field, PrimeField) or field.p >= r:
+            return True
+        # a combination of RREF rows carries its coefficients at the pivots,
+        # so a vector without zero coordinates has all coefficients in F_p^*
+        units = [field(c) for c in range(1, field.p)]
+        return any(
+            all(linalg.combine(coeffs, u_rows, field, r))
+            for coeffs in product(units, repeat=len(u_rows))
+        )
 
     def jet_rank(self, alpha) -> int:
         """Rank of the image of the subspace in prod_i K[t_i]/(t_i^alpha_i)."""

@@ -70,6 +70,18 @@ def test_unknown_job_fields_rejected():
         JobSpec({"command": "no-such-command"})
 
 
+@pytest.mark.parametrize("field", ["rational", "Fp:101"])
+@pytest.mark.parametrize("literal", ["x", "1/0"])
+def test_malformed_literal_is_validation_error(field, literal):
+    job = {
+        "command": "analyze-projection",
+        "field": field,
+        "params": {"degree": 5, "center": {"rows": [[1, literal, 0, 0, 0, 0]]}},
+    }
+    code, out = run_job(job)
+    assert code == 2 and out["error"]["kind"] == "ValidationError"
+
+
 def test_analyze_projection_quintic():
     code, out = run_job(quintic_345_job())
     assert code == 0

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gapcurve import linalg
 from gapcurve.errors import MissingUnitError, NotStabilizedError, ValidationError
 from gapcurve.fields import GF, QQ
 from gapcurve.gaps import (
@@ -94,6 +95,38 @@ def test_close_algebra_mixed_generator():
     assert closed.dim == 12 - 2
     gap = GapFunction(closed, ALGEBRA_CLOSED)
     assert gap.degree() == 2
+
+
+def naive_closure(space):
+    """All-products fixpoint: multiply every row by every row until the span stops growing."""
+    amb = space.ambient
+    rows = space.rows
+    while True:
+        elems = [TruncatedSeries.from_flat(amb, row) for row in rows]
+        products = [(a * b).flat() for a in elems for b in elems]
+        grown, pivots = linalg.rref(rows + products, amb.field)
+        if len(grown) == len(rows):
+            return grown, pivots
+        rows = grown
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(3)], ids=["rational", "Fp:101", "Fp:3"])
+def test_close_algebra_matches_all_products_oracle(field):
+    rng = random.Random(20190527)
+    for _ in range(15):
+        r = rng.randrange(1, 4)
+        n = rng.randrange(3, 13)
+        amb = Ambient(field, r, n)
+        vecs = [TruncatedSeries.unit(amb)]
+        for _ in range(rng.randrange(1, 4)):
+            terms = [
+                (rng.randrange(r), rng.randrange(n), field.random_element(rng))
+                for _ in range(rng.randrange(1, 4))
+            ]
+            vecs.append(TruncatedSeries.from_monomials(amb, terms))
+        space = SeriesSubspace.span(amb, vecs)
+        closed = close_algebra(space)
+        assert (closed.rows, closed.pivots) == naive_closure(space)
 
 
 def test_gap_eval_golden_values():

@@ -64,16 +64,6 @@ def test_solve_right_inconsistent():
     assert linalg.solve_right(rows, [field(1), field(2)], field) is None
 
 
-def test_echelon_incremental_matches_batch(field, rng):
-    vectors = [[field.random_element(rng) for _ in range(8)] for _ in range(10)]
-    ech = linalg.Echelon(field, 8)
-    for v in vectors:
-        ech.insert(v)
-    batch, piv = linalg.rref(vectors, field)
-    assert ech.rows == batch
-    assert ech.pivots == piv
-
-
 def test_gfp_kernel_matches_generic():
     p = 101
     field = GF(p)

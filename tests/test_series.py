@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,3 +212,56 @@ def test_contains_unit_small_field():
     amb = Ambient(GF(3), 4, 2)
     vecs = [TruncatedSeries.monomial(amb, i, 0) for i in range(4)]
     assert span_reduce(amb, vecs).contains_unit()
+    # p < r: U = {x in F_3^11 : x_11 = 2x_1 + x_3 + x_6 + x_8 + x_10} holds a unit
+    field = GF(3)
+    amb = Ambient(field, 11, 2)
+    last = [2, 0, 1, 0, 0, 1, 0, 1, 0, 1]
+    vecs = [
+        TruncatedSeries.from_monomials(amb, [(i, 0, 1), (10, 0, c)]) for i, c in enumerate(last)
+    ]
+    space = span_reduce(amb, vecs)
+    assert space.dim == 10 and space.contains_unit()
+    witness = [1] * 9 + [2, 1]
+    assert space.contains(TruncatedSeries.from_monomials(amb, [(i, 0, c) for i, c in enumerate(witness)]))
+
+
+def test_contains_unit_brute_force_small_fields():
+    rng = random.Random(31)
+    seen = set()
+    for p in (3, 5, 7):
+        field = GF(p)
+        for _ in range(40):
+            r = rng.randrange(1, 12)
+            k = rng.randrange(1, 8)
+            while p**k > 3000:
+                k -= 1
+            amb = Ambient(field, r, 1)
+            consts = [[rng.choice([0, 0] + list(range(1, p))) for _ in range(r)] for _ in range(k)]
+            vecs = [TruncatedSeries.from_monomials(amb, [(i, 0, c) for i, c in enumerate(v)]) for v in consts]
+            # every combination of the spanning vectors, not of an echelon basis
+            brute = any(
+                all(sum(c * v[i] for c, v in zip(coeffs, consts)) % p for i in range(r))
+                for coeffs in product(range(p), repeat=k)
+            )
+            assert span_reduce(amb, vecs).contains_unit() == brute, (p, consts)
+            seen.add((brute, p < r))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_contains(field, rng):
+    amb = Ambient(field, 2, 4)
+    vecs = [
+        TruncatedSeries.unit(amb),
+        t_power(amb, 2) + TruncatedSeries.monomial(amb, 1, 1).scale(field(3)),
+        t_power(amb, 3, branch=1),
+    ]
+    space = span_reduce(amb, vecs)
+    member = TruncatedSeries.zero(amb)
+    for v in vecs:
+        member = member + v.scale(field.random_nonzero(rng))
+    assert space.contains(member)
+    assert space.contains(TruncatedSeries.zero(amb))
+    assert not space.contains(t_power(amb, 2))
+    assert not space.contains(member + t_power(amb, 1))
+    with pytest.raises(AmbientMismatchError):
+        space.contains(TruncatedSeries.unit(Ambient(field, 2, 5)))
