@@ -21,7 +21,7 @@ from itertools import permutations
 
 from .errors import ClassificationError, NotStabilizedError, ValidationError
 from .fields import QQ
-from .gaps import ALGEBRA_CLOSED, VECTOR_SPACE, GapFunction, close_algebra
+from .gaps import ALGEBRA_CLOSED, VECTOR_SPACE, GapFunction, close_algebra, simplex
 from .series import INF, Ambient, SeriesSubspace, TruncatedSeries
 
 
@@ -370,26 +370,10 @@ def validate_relations(model: LocalModel, field=QQ, truncation: int = MODEL_TRUN
 # fingerprints and ring classification
 
 
-def _window(delta: int, arity: int):
-    """Positive exponent vectors with |alpha| <= 2*delta (they determine lambda)."""
-    cells = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == arity:
-            cells.append(tuple(prefix))
-            return
-        slots = arity - len(prefix)
-        for v in range(1, remaining - (slots - 1) + 1):
-            rec(prefix + [v], remaining - v)
-
-    rec([], 2 * delta)
-    return cells
-
-
 def canonical_fingerprint(gap: GapFunction, delta: int):
     """Gap values on the determining window, minimized over branch permutations."""
     r = gap.arity
-    cells = _window(delta, r)
+    cells = list(simplex(2 * delta, r, minimum=1))  # |alpha| <= 2*delta determines lambda
     best = None
     for perm in permutations(range(r)):
         vals = tuple(gap(tuple(alpha[perm[i]] for i in range(r))) for alpha in cells)

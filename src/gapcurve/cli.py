@@ -157,11 +157,15 @@ def _parse_series_vectors(field, params):
     amb = Ambient(field, r, n)
     out = []
     for vec in vectors:
+        if not isinstance(vec, list):
+            raise ValidationError("each vector is a list of terms")
         terms = []
         for term in vec:
             if not isinstance(term, list) or len(term) != 3:
                 raise ValidationError("each term is [branch, exponent, coefficient]")
             b, e, c = term
+            if not isinstance(b, int) or not isinstance(e, int):
+                raise ValidationError("term branch and exponent must be integers")
             if e < n:
                 terms.append((b, e, field.from_json(c)))
         out.append(TruncatedSeries.from_monomials(amb, terms))
@@ -203,7 +207,10 @@ def _parse_center(field, degree, spec) -> ProjectionCenter:
     given = [k for k in ("rows", "linear_system", "points") if k in spec]
     if len(given) != 1:
         raise ValidationError("center needs exactly one of rows/linear_system/points")
-    rows = [[field.from_json(c) for c in row] for row in spec[given[0]]]
+    raw = spec[given[0]]
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        raise ValidationError(f"center {given[0]} must be a list of lists")
+    rows = [[field.from_json(c) for c in row] for row in raw]
     if given[0] == "linear_system":
         return ProjectionCenter.from_linear_system(field, degree, rows)
     return ProjectionCenter.from_rows(field, degree, rows)

@@ -223,7 +223,7 @@ class RationalField:
         if isinstance(value, int):
             return Fraction(value)
         if isinstance(value, str):
-            return Fraction(value)
+            return _fraction_literal(value)
         raise ValidationError(f"cannot coerce {value!r} into the rationals")
 
     def random_element(self, rng) -> Fraction:

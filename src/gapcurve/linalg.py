@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
 from .fields import GFElement, PrimeField
 
 Matrix = list  # list of rows
@@ -56,20 +57,21 @@ def gfp_matrix(rows, ncols: int) -> np.ndarray:
 
 
 def batch_inverse(vals: np.ndarray, p: int) -> np.ndarray:
-    """Modular inverses of a vector of nonzero residues (Montgomery's trick)."""
-    n = vals.shape[0]
-    if n == 0:
-        return vals.copy()
-    prefix = np.empty(n, dtype=np.int64)
-    acc = 1
-    for i in range(n):
-        prefix[i] = acc
-        acc = acc * int(vals[i]) % p
-    inv_acc = pow(int(acc), p - 2, p)
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        out[i] = int(prefix[i]) * inv_acc % p
-        inv_acc = inv_acc * int(vals[i]) % p
+    """Modular inverses of a vector of nonzero residues: vals^(p-2) mod p.
+
+    Vectorised square-and-multiply.  Requires p < 2^31, so that every product
+    of two residues stays below 2^62 and int64 arithmetic is exact.
+    """
+    if p >= 1 << 31:
+        raise ValidationError(f"batch_inverse needs p < 2^31, got {p}")
+    base = np.asarray(vals, dtype=np.int64) % p
+    out = np.ones_like(base)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
     return out
 
 

@@ -119,7 +119,6 @@ class CenterVerdict:
 class RamificationCluster:
     points: list  # CurvePoint, sorted
     tangent: list  # per-point: tangent line meets the center
-    image: tuple  # normalized projective image coordinates
 
     @property
     def branches(self) -> int:
@@ -166,23 +165,21 @@ class ProjectionReport:
 
 
 def check_center(center: ProjectionCenter, curve) -> CenterVerdict:
-    """Basepoint-freeness of M, i.e. P(L) misses the curve."""
+    """Basepoint-freeness of M, i.e. P(L) misses the curve.
+
+    The basepoints are the common zeros of the forms of M: the roots of their
+    gcd, sorted along the curve.  A gcd factor without base-field roots means
+    basepoints over an extension, reported as indeterminate.
+    """
     if center.degree != curve.degree or center.field != curve.field:
         raise ValidationError("center and curve ambient mismatch")
-    if isinstance(center.field, PrimeField):
-        data = _scan_data(center, curve)
-        idx = np.nonzero(~np.any(data["phi"], axis=1))[0]
-        pts = [_point_from_index(curve, int(i)) for i in idx]
-        return CenterVerdict(not pts, pts)
-    # over the rationals: common zeros of the forms of M
     forms = [_dual_to_form(row, center.degree, center.field) for row in center.m_basis()]
-    g = binforms.gcd_many(forms)
-    roots, residual = binforms.projective_roots(g) if binforms.form_has_roots(g) else ([], 0)
-    pts = [CurvePoint(center.field, a, b) for (a, b), _ in roots]
+    roots, residual = binforms.projective_roots(binforms.gcd_many(forms))
+    pts = sorted((CurvePoint(center.field, a, b) for (a, b), _ in roots), key=CurvePoint.sort_key)
     if residual:
         return CenterVerdict(
             False, pts, indeterminate=True,
-            detail="possible basepoints over an extension of the rationals",
+            detail="possible basepoints over an extension of the base field",
         )
     return CenterVerdict(not pts, pts)
 
@@ -195,15 +192,9 @@ def _dual_to_form(coeffs, degree, field) -> binforms.BinaryForm:
 # ---------------------------------------------------------------------------
 # ramification over a prime field: exhaustive scan
 
-_scan_cache: dict = {}
-
 
 def _vandermonde_rows(p: int, d: int):
-    """nu and nu' rows for all p+1 points, int64, cached per (p, d)."""
-    key = (p, d)
-    hit = _scan_cache.get(key)
-    if hit is not None:
-        return hit
+    """nu and nu' rows for all p+1 points, int64."""
     a = np.arange(p, dtype=np.int64)
     powers = np.ones((d + 1, p), dtype=np.int64)
     for e in range(1, d + 1):
@@ -216,7 +207,6 @@ def _vandermonde_rows(p: int, d: int):
             nu_t[:p, k] = (d - k) * powers[d - k - 1] % p
     nu[p, 0] = 1  # the point (1:0)
     nu_t[p, 1] = 1
-    _scan_cache[key] = (nu, nu_t)
     return nu, nu_t
 
 
@@ -227,32 +217,15 @@ def _point_from_index(curve, idx: int) -> CurvePoint:
     return CurvePoint(curve.field, curve.field(idx), curve.field.one)
 
 
-def _scan_data(center: ProjectionCenter, curve) -> dict:
-    p = center.field.p
-    d = center.degree
-    nu, nu_t = _vandermonde_rows(p, d)
-    m = np.array([[c.value for c in row] for row in center.m_basis()], dtype=np.int64)
-    phi = nu @ m.T % p
-    return {"nu": nu, "nu_t": nu_t, "phi": phi}
-
-
 def _ramification_scan_gfp(center: ProjectionCenter, curve):
     p = center.field.p
-    data = _scan_data(center, curve)
-    nu, nu_t, phi = data["nu"], data["nu_t"], data["phi"]
-
-    # tangency: rank([L; nu; nu']) <= ell + 1, tested after reducing mod L
-    lrows = np.array([[c.value for c in row] for row in center.rows], dtype=np.int64)
-    piv = np.array(center.pivots, dtype=np.int64)
-    nu_r = (nu - nu[:, piv] @ lrows) % p
-    nut_r = (nu_t - nu_t[:, piv] @ lrows) % p
-    cross = nu_r[:, :, None] * nut_r[:, None, :] % p
-    minors = (cross - cross.transpose(0, 2, 1)) % p
-    tangent_mask = ~np.any(minors, axis=(1, 2))
+    nu, nu_t = _vandermonde_rows(p, center.degree)
+    m = linalg.gfp_matrix(center.m_basis(), center.degree + 1)
+    phi = nu @ m.T % p
 
     # fibers: group points by normalized image
-    lead = np.argmax(phi != 0, axis=1)
-    lead_vals = phi[np.arange(phi.shape[0]), lead]
+    idx = np.arange(p + 1)
+    lead_vals = phi[idx, np.argmax(phi != 0, axis=1)]
     if np.any(lead_vals == 0):
         raise ValidationError("basepoint present; run check_center first")
     inv = linalg.batch_inverse(lead_vals, p)
@@ -261,17 +234,24 @@ def _ramification_scan_gfp(center: ProjectionCenter, curve):
     for i in range(norm.shape[0]):
         fibers.setdefault(norm[i].tobytes(), []).append(i)
 
+    # tangency: rank([L; nu; nu']) <= ell + 1, i.e. nu' is proportional to nu
+    # mod L; nu mod L is nonzero away from basepoints, so comparing against its
+    # first nonzero column is exact
+    lrows = linalg.gfp_matrix(center.rows, center.degree + 1)
+    piv = np.array(center.pivots, dtype=np.int64)
+    nu_r = (nu - nu[:, piv] @ lrows) % p
+    nut_r = (nu_t - nu_t[:, piv] @ lrows) % p
+    col = np.argmax(nu_r != 0, axis=1)
+    minors = (nut_r * nu_r[idx, col, None] - nu_r * nut_r[idx, col, None]) % p
+    tangent_mask = ~np.any(minors, axis=1)
+
     clusters = []
-    for key, members in fibers.items():
-        if len(members) < 2 and not any(tangent_mask[i] for i in members):
+    for members in fibers.values():  # ascending index is CurvePoint.sort_key order
+        if len(members) < 2 and not tangent_mask[members[0]]:
             continue
         pts = [_point_from_index(curve, i) for i in members]
         tangs = [bool(tangent_mask[i]) for i in members]
-        order = sorted(range(len(pts)), key=lambda j: pts[j].sort_key())
-        image = _normalized_image(center, curve, pts[0])
-        clusters.append(
-            RamificationCluster([pts[j] for j in order], [tangs[j] for j in order], image)
-        )
+        clusters.append(RamificationCluster(pts, tangs))
     clusters.sort(key=lambda c: c.points[0].sort_key())
     return clusters
 
@@ -431,12 +411,12 @@ def _ramification_symbolic_q(center: ProjectionCenter, curve):
         fibers.setdefault(_normalized_image(center, curve, pt), []).append(pt)
 
     clusters = []
-    for image, pts in fibers.items():
+    for pts in fibers.values():
         pts = sorted(pts, key=lambda q: q.sort_key())
         tangs = [_is_tangent(center, curve, q) for q in pts]
         if len(pts) < 2 and not any(tangs):
             continue
-        clusters.append(RamificationCluster(pts, tangs, image))
+        clusters.append(RamificationCluster(pts, tangs))
     clusters.sort(key=lambda c: c.points[0].sort_key())
     return clusters
 

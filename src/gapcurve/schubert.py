@@ -381,24 +381,13 @@ def configuration_codim(types, d: int, n: int):
 # deep samplers: jet prescription lifted to a linear system
 
 
-def _jet_matrix(curve, point, order: int):
-    """Rows: expansions of the monomial basis at the point, to the given order."""
-    d = curve.dim_w - 1
-    rows = []
-    for k in range(d + 1):
-        coeffs = [0] * (d + 1)
-        coeffs[k] = 1
-        exp = curve.local_expansion(coeffs, point, order)
-        rows.append(list(exp.coeffs[0]))
-    return rows
+def _lift_jets(eqs, targets, field):
+    """Forms whose expansions realize the target jets; plus the jet kernel.
 
-
-def _lift_jets(jet_rows, targets, field):
-    """Forms whose expansions realize the target jets; plus the jet kernel."""
-    ncols = len(jet_rows)
-    order = len(jet_rows[0])
-    # equations: sum_k f_k * jet_rows[k][j] = target[j]
-    eqs = [[jet_rows[k][j] for k in range(ncols)] for j in range(order)]
+    Row j of ``eqs`` maps a form to the t^j coefficient of its expansion
+    (``curve.osc_rows``), so each lift solves eqs * f = target.
+    """
+    ncols = len(eqs[0])
     lifts = []
     for target in targets:
         sol = linalg.solve_right(eqs, target, field)
@@ -431,7 +420,7 @@ def _sample_2_7_cusp(spec: SchubertSpec, curve, rng) -> ProjectionCenter:
         raise ValidationError("the (2,7)-cusp sampler needs ell = 3 and degree >= 7")
     (point,) = spec.points
     order = 6
-    jets = _jet_matrix(curve, point, order)
+    jets = curve.osc_rows(point, order)
     amb = Ambient(field, 1, order)
     u = TruncatedSeries(amb, [_random_unit_jet(field, rng, order)])
     v = TruncatedSeries(
@@ -452,7 +441,7 @@ def _sample_node_third_order(spec: SchubertSpec, curve, rng) -> ProjectionCenter
         raise ValidationError("the contact-node sampler needs ell = 3 and degree >= 7")
     p1, p2 = spec.points
     w1, w2 = 4, 3
-    jets = [r1 + r2 for r1, r2 in zip(_jet_matrix(curve, p1, w1), _jet_matrix(curve, p2, w2))]
+    jets = curve.osc_rows(p1, w1) + curve.osc_rows(p2, w2)
     amb1, amb2 = Ambient(field, 1, w1), Ambient(field, 1, w2)
     u1 = TruncatedSeries(amb1, [_random_unit_jet(field, rng, w1)])
     u2 = TruncatedSeries(amb2, [_random_unit_jet(field, rng, w2)])

@@ -82,6 +82,20 @@ def test_malformed_literal_is_validation_error(field, literal):
     assert code == 2 and out["error"]["kind"] == "ValidationError"
 
 
+@pytest.mark.parametrize(
+    "command,params",
+    [
+        ("analyze-projection", {"degree": 5, "center": {"rows": 5}}),
+        ("analyze-projection", {"degree": 5, "center": {"rows": [5]}}),
+        ("classify-series", {"branches": 1, "vectors": [[[0, "2", 1]]]}),
+        ("classify-series", {"branches": 1, "vectors": [[[0, 2.5, 1]]]}),
+    ],
+)
+def test_malformed_input_shape_is_validation_error(command, params):
+    code, out = run_job({"command": command, "field": "rational", "params": params})
+    assert code == 2 and out["error"]["kind"] == "ValidationError"
+
+
 def test_analyze_projection_quintic():
     code, out = run_job(quintic_345_job())
     assert code == 0
@@ -126,6 +140,18 @@ def test_analyze_projection_indeterminate_exit_code():
     }
     code, out = run_job(job)
     assert code == 4
+
+
+def test_analyze_projection_conjugate_basepoints_over_fp_exit_code():
+    # M = (x^2 + y^2) * all sextics: basepoints (+-i : 1) over F_10007^2
+    rows = [[1 if k in (j, j + 2) else 0 for k in range(9)] for j in range(7)]
+    job = {
+        "command": "analyze-projection",
+        "field": "Fp:10007",
+        "params": {"degree": 8, "center": {"linear_system": rows}},
+    }
+    code, out = run_job(job)
+    assert code == 4 and out["error"]["kind"] == "IndeterminateOverFieldError"
 
 
 def test_verify_bounds_d_equals_2n():

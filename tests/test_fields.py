@@ -55,6 +55,9 @@ def test_rational_coercions():
     assert QQ.to_json(Fraction(3, 4)) == "3/4"
     assert QQ.to_json(Fraction(5)) == 5
     assert QQ.from_json("3/4") == Fraction(3, 4)
+    for bad in ("x", "1/0"):
+        with pytest.raises(ValidationError):
+            QQ(bad)
 
 
 def test_gf_fraction_coercion():

@@ -1,6 +1,10 @@
 import random
 
+import numpy as np
+import pytest
+
 from gapcurve import linalg
+from gapcurve.errors import ValidationError
 from gapcurve.fields import GF, QQ
 
 from conftest import independent_rank
@@ -73,3 +77,13 @@ def test_gfp_kernel_matches_generic():
         fast = linalg.rank(rows, field)
         slow = len(linalg._rref_generic(rows, field)[1])
         assert fast == slow
+
+
+@pytest.mark.parametrize("p", [3, 10007, 2**31 - 1])
+def test_batch_inverse(p):
+    rng = random.Random(p)
+    vals = [1, p - 1] + [rng.randrange(1, p) for _ in range(200)]
+    got = linalg.batch_inverse(np.array(vals, dtype=np.int64), p)
+    assert [int(x) for x in got] == [pow(v, -1, p) for v in vals]
+    with pytest.raises(ValidationError):  # products of residues would pass 2^62
+        linalg.batch_inverse(np.array([2], dtype=np.int64), 2**31 + 11)

@@ -92,6 +92,30 @@ def test_check_center_indeterminate_over_q():
     assert v.indeterminate and not v.basepoint_free
 
 
+def conjugate_basepoint_system(d):
+    """(x^2 + y^2) * all forms of degree d - 2: basepoints where x = +-i y."""
+    return [[1 if k in (j, j + 2) else 0 for k in range(d + 1)] for j in range(d - 1)]
+
+
+def test_check_center_conjugate_basepoints_over_fp():
+    # p = 10007 = 3 mod 4: the basepoints (+-i : 1) lie over F_p^2 and no
+    # rational point is a basepoint, so the verdict must be indeterminate
+    curve = RationalNormalCurve(F, 8)
+    c = ProjectionCenter.from_linear_system(F, 8, conjugate_basepoint_system(8))
+    v = check_center(c, curve)
+    assert v.indeterminate and not v.basepoint_free and not v.basepoints
+    with pytest.raises(IndeterminateOverFieldError):
+        analyze(c, curve)
+    # p = 61 = 1 mod 4: x^2 + y^2 splits and the basepoints are rational
+    field = GF(61)
+    curve = RationalNormalCurve(field, 8)
+    c = ProjectionCenter.from_linear_system(field, 8, conjugate_basepoint_system(8))
+    v = check_center(c, curve)
+    assert not v.indeterminate and not v.basepoint_free
+    assert {p.coords() for p in v.basepoints} == naive_basepoint_oracle(c, curve)
+    assert v.basepoints == sorted(v.basepoints, key=lambda q: q.sort_key())
+
+
 def test_find_ramification_quintic_345():
     for field in (F, QQ):
         c = quintic_345_center(field)
@@ -148,16 +172,17 @@ def test_scan_matches_naive_oracle_small_field():
     field = GF(61)
     curve = RationalNormalCurve(field, 8)
     rng = random.Random(12)
+    p_pt, q_pt = curve.point(3, 1), curve.point(17, 1)
+    nu_p, nut_p = curve.osc_rows(p_pt, 2)
+    secant = [a + b for a, b in zip(nu_p, curve.veronese_row(q_pt))]
     tried = 0
-    for center_rows in [
-        monomial_rows(8, [1, 2, 3]),  # sharp-family center (d=8, n=5), via M
-        None,
-        None,
-    ]:
-        if center_rows is not None:
+    for kind in ["sharp", "secant", "random", "random"]:
+        if kind == "sharp":  # sharp-family center (d=8, n=5), via M
             c = ProjectionCenter.from_linear_system(
                 field, 8, monomial_rows(8, [0] + list(range(4, 9)))
             )
+        elif kind == "secant":  # a fiber {P, Q} with the tangent line at P
+            c = ProjectionCenter.from_rows(field, 8, [secant, nut_p, monomial_rows(8, [4])[0]])
         else:
             while True:
                 rows = [[field.random_element(rng) for _ in range(9)] for _ in range(3)]
@@ -166,10 +191,16 @@ def test_scan_matches_naive_oracle_small_field():
                     break
         verdict = check_center(c, curve)
         assert {p.coords() for p in verdict.basepoints} == naive_basepoint_oracle(c, curve)
-        got = {p.coords() for cl in find_ramification(c, curve) for p in cl.points}
+        clusters = find_ramification(c, curve)
+        got = {p.coords() for cl in clusters for p in cl.points}
         assert got == naive_ramification_oracle(c, curve)
+        for cl in clusters:
+            assert cl.tangent == [
+                linalg.intersection_dim(c.rows, curve.osc_rows(p, 2), field) >= 1
+                for p in cl.points
+            ]
         tried += 1
-    assert tried == 3
+    assert tried == 4
 
 
 def test_analyze_quintic_345_cusp():
