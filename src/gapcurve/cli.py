@@ -14,8 +14,10 @@ A job is a single JSON object:
 
 Unknown keys are rejected.  Output is deterministic for a fixed job: keys
 are sorted, rationals serialize as "p/q" strings, prime-field elements as
-integers in [0, p).  Exit codes: 0 success, 2 validation error, 3 hypothesis
-violation, 4 indeterminate over the base field, 5 truncation cap hit.
+integers in [0, p).  Exit codes: 0 success, 1 internal error (an unexpected
+exception in one job, reported in that job's envelope), 2 validation error,
+3 hypothesis violation, 4 indeterminate over the base field, 5 truncation cap
+hit.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from . import schubert
@@ -379,6 +382,11 @@ def _cmd_fuzz_key_lemma(job: JobSpec):
     count = params.get("count", 50)
     max_branches = params.get("max_branches", 3)
     max_delta = params.get("max_delta", 4)
+    for name, value, least in (
+        ("count", count, 0), ("max_branches", max_branches, 1), ("max_delta", max_delta, 0)
+    ):
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise ValidationError(f"{name} must be an integer >= {least}")
     import random as _random
 
     rng = _random.Random(job.seed)
@@ -426,18 +434,34 @@ _HANDLERS = {
 }
 
 
+def _error(exc: Exception):
+    """(exit code, error object); anything but a GapcurveError is internal,
+    and its traceback goes to stderr."""
+    if isinstance(exc, GapcurveError):
+        kind, code, message = type(exc).__name__, exc.exit_code, str(exc)
+    else:
+        sys.stderr.write("".join(traceback.format_exception(exc)))
+        kind, code, message = "InternalError", 1, f"{type(exc).__name__}: {exc}"
+    return code, {"kind": kind, "code": code, "message": message}
+
+
 def run(job: JobSpec):
-    """Execute one job; returns (exit_code, envelope dict)."""
+    """Execute one job; returns (exit_code, envelope dict).
+
+    An unexpected exception becomes an ``InternalError`` envelope with exit
+    code 1, so that one failing job never aborts a batch.
+    """
     try:
         result = _HANDLERS[job.command](job)
-    except GapcurveError as exc:
-        return exc.exit_code, {
+    except Exception as exc:
+        code, error = _error(exc)
+        return code, {
             "schema_version": SCHEMA_VERSION,
             "command": job.command,
             "field": job.field.name,
             "seed": job.seed,
             "ok": False,
-            "error": {"kind": type(exc).__name__, "code": exc.exit_code, "message": str(exc)},
+            "error": error,
         }
     return 0, {
         "schema_version": SCHEMA_VERSION,
@@ -456,12 +480,9 @@ def _dump(obj) -> str:
 def _run_job_obj(obj: dict):
     try:
         job = JobSpec(obj)
-    except GapcurveError as exc:
-        return exc.exit_code, {
-            "schema_version": SCHEMA_VERSION,
-            "ok": False,
-            "error": {"kind": type(exc).__name__, "code": exc.exit_code, "message": str(exc)},
-        }
+    except Exception as exc:
+        code, error = _error(exc)
+        return code, {"schema_version": SCHEMA_VERSION, "ok": False, "error": error}
     return run(job)
 
 

@@ -45,8 +45,33 @@ def gfp_rref(a: np.ndarray, p: int):
     return a[: len(pivots)], pivots
 
 
-def gfp_rank(a: np.ndarray, p: int) -> int:
-    return len(gfp_rref(a, p)[1])
+def gfp_pivots(a: np.ndarray, p: int) -> list:
+    """Pivot columns of the RREF of a mod p, by forward elimination only.
+
+    Only the rows below the pivot row r with a nonzero entry in the pivot
+    column c change: row i becomes a[r, c]·row_i − a[i, c]·row_r, which needs
+    no inverse.  Both products of residues stay below 2^62 for p < 2^31, so
+    their difference is exact in int64 before it is reduced mod p.
+    """
+    a = np.asarray(a, dtype=np.int64) % p  # a fresh array: the input is untouched
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = a[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]  # row i now holds the old row r, zero in column c
+        if nz.size > 1:
+            rows = r + nz[1:]
+            a[rows, c:] = (a[rows, c:] * a[r, c] - np.outer(a[rows, c], a[r, c:])) % p
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 def gfp_matrix(rows, ncols: int) -> np.ndarray:
@@ -121,7 +146,7 @@ def rank(rows, field) -> int:
     if not rows:
         return 0
     if isinstance(field, PrimeField):
-        return gfp_rank(gfp_matrix(rows, len(rows[0])), field.p)
+        return len(gfp_pivots(gfp_matrix(rows, len(rows[0])), field.p))
     return len(_rref_generic(rows, field)[1])
 
 
@@ -165,6 +190,42 @@ def solve_right(rows, rhs, field):
     for i, pc in enumerate(pivots):
         x[pc] = red[i][n]
     return x
+
+
+def image_block(rows, m_rows, field):
+    """The block [J·Mᵀ | J] for the rows J of a subspace F and k forms M.
+
+    Elimination picks pivots column by column, so in any stack of rows of
+    such blocks (see ``stacked_pivots``) the pivots left of column k count
+    rank(F·Mᵀ), all pivots count rank F, and the pivots at index >= k count
+    dim(F ∩ ker Mᵀ).
+
+    Over F_p the block is one int64 residue array.  J·Mᵀ reduces every
+    product of two residues (below 2^62 for p < 2^31) mod p before summing,
+    so a sum of n terms stays below n·p and is exact.  Over the rationals it
+    is a list of Fraction rows.
+    """
+    if isinstance(field, PrimeField):
+        p = field.p
+        j = gfp_matrix(rows, len(m_rows[0]))
+        mt = gfp_matrix(m_rows, len(m_rows[0])).T
+        image = (j[:, :, None] * mt[None, :, :] % p).sum(axis=1) % p
+        return np.hstack([image, j])
+    return [
+        [sum((x * y for x, y in zip(row, m) if x and y), field.zero) for m in m_rows] + list(row)
+        for row in rows
+    ]
+
+
+def stacked_pivots(blocks, counts, field) -> list:
+    """Pivot columns of the stack of the first counts[i] rows of each block.
+
+    The blocks come from ``image_block``; over F_p the stack stays int64 and
+    only the pivot columns are computed, with no field elements built.
+    """
+    if isinstance(field, PrimeField):
+        return gfp_pivots(np.concatenate([b[:c] for b, c in zip(blocks, counts)]), field.p)
+    return _rref_generic([row for b, c in zip(blocks, counts) for row in b[:c]], field)[1]
 
 
 def intersection_dim(a_rows, b_rows, field) -> int:

@@ -37,7 +37,6 @@ from .classify import (
 from .curve import (
     CurvePoint,
     ExpansionCurveModel,
-    Multifiltration,
     RationalNormalCurve,
     _point_key,
 )
@@ -55,7 +54,7 @@ from .series import Ambient, SeriesSubspace, TruncatedSeries
 
 
 class ProjectionCenter:
-    """An ell-dimensional subspace L of V, echelonized, with M = L-perp."""
+    """An ell-dimensional proper subspace L of V, echelonized, with M = L-perp."""
 
     def __init__(self, field, degree: int, rows):
         self.field = field
@@ -67,6 +66,8 @@ class ProjectionCenter:
         red, piv = linalg.rref([[field(c) for c in row] for row in rows], field)
         if not red:
             raise ValidationError("center must be a nonzero subspace")
+        if len(red) == width:
+            raise ValidationError("center must be a proper subspace of V")
         self.rows = red
         self.pivots = piv
         self.ell = len(red)
@@ -602,24 +603,38 @@ def _lambda_samples(vgap: GapFunction, delta: int) -> dict:
     return out
 
 
+def _flag_dims(center, curve, points, order):
+    """alpha -> dim(L cap F^alpha) for alpha_i <= order, one elimination a cell.
+
+    L is the kernel of v -> v·M^T with M = L-perp, so dim(L cap F^alpha) =
+    rank F^alpha - rank(F^alpha·M^T).  Each point P gets its block
+    W_P = [J_P·M^T | J_P] once, with J_P = osc_rows(P, order); a cell stacks
+    the first alpha_i rows of each W_{P_i} and counts the pivots past the k
+    columns of J·M^T (``linalg.image_block``).  The same code serves the
+    built-in curve and user models.
+    """
+    field = center.field
+    m_rows = center.m_basis()
+    k = len(m_rows)
+    blocks = [linalg.image_block(curve.osc_rows(p, order), m_rows, field) for p in points]
+    return lambda alpha: sum(c >= k for c in linalg.stacked_pivots(blocks, alpha, field))
+
+
 def _dual_path_check(center, curve, points, vgap, d, rho_g):
     """Series-side gap values must equal flag-side dim(L cap F^alpha)."""
-    filt = Multifiltration(curve, points)
-    r = len(points)
     bound = d + 1 - 2 * rho_g
     n = vgap.truncation
+    flag_dim = _flag_dims(center, curve, points, min(bound, n, curve.dim_w))
     from .gaps import simplex
 
-    for alpha in simplex(bound, r):
+    for alpha in simplex(bound, len(points)):
         if any(a > n for a in alpha):
             continue
-        flag_rows = filt.subspace_rows(alpha)
-        flag_dim = linalg.intersection_dim(center.rows, flag_rows, center.field)
-        series_val = vgap(alpha)
-        if series_val != flag_dim:
+        series_val, flag_val = vgap(alpha), flag_dim(alpha)
+        if series_val != flag_val:
             raise GapcurveError(
                 f"dual-path mismatch at alpha={alpha}: series {series_val} "
-                f"vs flag {flag_dim}"
+                f"vs flag {flag_val}"
             )
 
 

@@ -1,7 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gapcurve import cli
 from gapcurve.cli import JobSpec, _run_job_obj, main
 from gapcurve.errors import ValidationError
 
@@ -386,3 +389,133 @@ def test_main_batch(tmp_path, capsys):
     results = json.loads((tmp_path / "out.json").read_text())
     assert len(results) == 3
     assert results[0]["ok"] and results[1]["ok"] and not results[2]["ok"]
+
+
+@pytest.mark.parametrize("field", ["rational", "Fp:101"])
+def test_center_equal_to_v_is_validation_error(field):
+    job = {
+        "command": "analyze-projection",
+        "field": field,
+        "params": {"degree": 5, "center": {"linear_system": []}},
+    }
+    code, out = run_job(job)
+    assert code == 2 and out["error"]["kind"] == "ValidationError"
+    assert out["error"]["message"] == "center must be a proper subspace of V"
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"count": "3"},
+        {"count": 2.0},
+        {"count": True},
+        {"count": -1},
+        {"max_branches": 0},
+        {"max_branches": False},
+        {"max_branches": None},
+        {"max_delta": -1},
+        {"max_delta": [2]},
+    ],
+)
+def test_fuzz_key_lemma_params_validated(params):
+    job = {"command": "fuzz-key-lemma", "field": "Fp:101", "params": params}
+    code, out = run_job(job)
+    assert code == 2 and out["error"]["kind"] == "ValidationError"
+
+
+def test_fuzz_key_lemma_zero_count():
+    job = {"command": "fuzz-key-lemma", "field": "Fp:101", "params": {"count": 0}}
+    code, out = run_job(job)
+    assert code == 0 and out["result"] == {"checked": 0, "all_hold": True, "failures": []}
+
+
+def _boom(job):
+    raise RuntimeError("boom")
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    monkeypatch.setitem(cli._HANDLERS, "enumerate-types", _boom)
+    code, out = run_job({"command": "enumerate-types", "seed": 4})
+    assert code == 1 and not out["ok"]
+    assert out["error"] == {"kind": "InternalError", "code": 1, "message": "RuntimeError: boom"}
+    assert out["command"] == "enumerate-types" and out["seed"] == 4
+    assert "in _boom" in capsys.readouterr().err  # the traceback is kept on stderr
+
+
+class _SerialPool:
+    """Stands in for the process pool, so that a patched handler is seen."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_batch_survives_internal_error(tmp_path, monkeypatch):
+    monkeypatch.setitem(cli._HANDLERS, "enumerate-types", _boom)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    jobs = [
+        {"command": "fuzz-key-lemma", "field": "Fp:101", "params": {"count": 1}},
+        {"command": "enumerate-types"},
+        {"command": "fuzz-key-lemma", "field": "Fp:101", "params": {"count": "3"}},
+    ]
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(jobs))
+    code = main(["--batch", str(path), "--quiet", "--out", str(tmp_path / "out.json")])
+    results = json.loads((tmp_path / "out.json").read_text())
+    assert [r["ok"] for r in results] == [True, False, False]
+    assert [r["error"]["code"] for r in results[1:]] == [1, 2]
+    assert results[1]["error"]["kind"] == "InternalError"
+    assert code == 2  # worst job dominates
+
+
+# hypothesis: arbitrary JSON-like values at the CLI boundary give a clean exit
+
+_scalars = st.one_of(
+    st.integers(-3, 3),
+    st.text(max_size=4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+)
+_values = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    params=st.dictionaries(
+        st.sampled_from(["count", "max_branches", "max_delta"]), _values, max_size=3
+    )
+)
+def test_fuzz_key_lemma_params_boundary(params):
+    code, out = run_job({"command": "fuzz-key-lemma", "field": "Fp:101", "params": params})
+    assert code in {0, 2, 3}, out
+    assert out["ok"] == (code == 0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    field=st.sampled_from(["rational", "Fp:101"]),
+    key=st.sampled_from(["rows", "linear_system", "points"]),
+    shape=st.one_of(
+        _values,
+        st.lists(st.lists(_scalars, max_size=7), max_size=7),
+        st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6), max_size=6),
+    ),
+)
+def test_center_shape_boundary(field, key, shape):
+    job = {
+        "command": "analyze-projection",
+        "field": field,
+        "params": {"degree": 5, "center": {key: shape}},
+    }
+    code, out = run_job(job)
+    # A well-formed center may also meet the curve over an extension (4) or
+    # outrun the truncation cap (5): documented verdicts.  Only exit 1, an
+    # InternalError, would mean an exception escaped.
+    assert code in {0, 2, 3, 4, 5}, out
+    assert out["ok"] == (code == 0)

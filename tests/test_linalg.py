@@ -79,6 +79,48 @@ def test_gfp_kernel_matches_generic():
         assert fast == slow
 
 
+@pytest.mark.parametrize("p", [3, 101, 2**31 - 1])
+def test_gfp_pivots_match_generic(p):
+    field = GF(p)
+    rng = random.Random(p)
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 12)
+        basis = random_matrix(field, rng, rng.randint(0, min(nrows, ncols)), ncols)
+        dead = set(rng.sample(range(ncols), rng.randint(0, ncols // 2)))
+        rows = []
+        for _ in range(nrows):
+            row = linalg.combine([field.random_element(rng) for _ in basis], basis, field, ncols)
+            rows.append([field.zero if c in dead else x for c, x in enumerate(row)])
+        fast = linalg.gfp_pivots(linalg.gfp_matrix(rows, ncols), p)
+        assert fast == linalg._rref_generic(rows, field)[1]
+
+
+@pytest.mark.parametrize("field", [GF(2**31 - 1), QQ], ids=["p2^31-1", "QQ"])
+def test_image_block_and_stacked_pivots(field):
+    """[J·Mᵀ | J] is exact with residues next to 2^31, and the pivots of a
+    stack split into rank(F·Mᵀ) before column k and rank F in total."""
+    rng = random.Random(5)
+    width, k = 9, 5
+
+    def near_top():
+        return field(-1 - rng.randrange(3))  # p - 1, p - 2, p - 3 over F_p
+
+    j_rows = [[near_top() for _ in range(width)] for _ in range(4)]
+    j_rows.append(linalg.combine([field(2), field(3)], j_rows[:2], field, width))
+    m_rows = [[near_top() for _ in range(width)] for _ in range(k)]
+    block = linalg.image_block(j_rows, m_rows, field)
+    as_field = [[field(int(x)) for x in row] for row in block] if field != QQ else block
+    for row, got in zip(j_rows, as_field):
+        image = [sum((a * b for a, b in zip(row, m)), field.zero) for m in m_rows]
+        assert got == image + row
+    for counts in ([5], [3], [0], [2]):
+        pivots = linalg.stacked_pivots([block], counts, field)
+        f_rows = j_rows[: counts[0]]
+        image_rows = [r[:k] for r in as_field[: counts[0]]]
+        assert len(pivots) == linalg.rank(f_rows, field)
+        assert sum(c < k for c in pivots) == linalg.rank(image_rows, field)
+
+
 @pytest.mark.parametrize("p", [3, 10007, 2**31 - 1])
 def test_batch_inverse(p):
     rng = random.Random(p)

@@ -4,15 +4,18 @@ from itertools import combinations
 import pytest
 
 from gapcurve import linalg
-from gapcurve.curve import ExpansionCurveModel, RationalNormalCurve
+from gapcurve.curve import ExpansionCurveModel, Multifiltration, RationalNormalCurve
 from gapcurve.errors import (
+    GapcurveError,
     HypothesisViolationError,
     IndeterminateOverFieldError,
     ValidationError,
 )
 from gapcurve.fields import GF, QQ
+from gapcurve.gaps import VECTOR_SPACE, GapFunction, simplex
 from gapcurve.project import (
     ProjectionCenter,
+    _flag_dims,
     analyze,
     analyze_at_points,
     certify_no_extension_ramification,
@@ -57,6 +60,14 @@ def test_center_constructors_round_trip():
             assert acc == F.zero
     again = ProjectionCenter.from_rows(F, 5, c.rows)
     assert again.rows == c.rows
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["p10007", "QQ"])
+def test_center_equal_to_v_rejected(field):
+    with pytest.raises(ValidationError, match="proper subspace of V"):
+        ProjectionCenter.from_rows(field, 5, monomial_rows(5, range(6)))
+    with pytest.raises(ValidationError, match="proper subspace of V"):
+        ProjectionCenter.from_linear_system(field, 5, [])
 
 
 def test_check_center_quintic_free():
@@ -488,3 +499,108 @@ def test_analyze_with_clusters(monkeypatch):
     assert [cl.points for cl in report.clusters] == [["Pinf"]]
     assert report.delta_total == 2
 
+
+# ---------------------------------------------------------------------------
+# dual path: one elimination per cell against the intersection_dim oracle
+
+
+def _random_center_near(curve, points, ell, rng):
+    """An ell-dimensional center; half the time with a vector of some F^beta,
+    so that dim(L cap F^alpha) is nonzero at small alpha too."""
+    field = curve.field
+    width = curve.degree + 1
+    while True:
+        rows = [[field.random_element(rng) for _ in range(width)] for _ in range(ell)]
+        if rng.random() < 0.5:
+            point = rng.choice(points)
+            osc = curve.osc_rows(point, rng.randint(1, 3))
+            coeffs = [field.random_nonzero(rng) for _ in osc]
+            rows[0] = linalg.combine(coeffs, osc, field, width)
+        if linalg.rank(rows, field) == ell:
+            return ProjectionCenter.from_rows(field, curve.degree, rows)
+
+
+def _assert_flag_dims_match_oracle(center, curve, points, order):
+    flag_dim = _flag_dims(center, curve, points, order)
+    filt = Multifiltration(curve, points)
+    values = set()
+    for alpha in simplex(order, len(points)):
+        want = linalg.intersection_dim(center.rows, filt.subspace_rows(alpha), center.field)
+        assert flag_dim(alpha) == want, (alpha, points)
+        values.add(want)
+    return values
+
+
+@pytest.mark.parametrize("d", [5, 8])
+@pytest.mark.parametrize(
+    "field", [GF(101), GF(10007), GF(2**31 - 1), QQ], ids=["p101", "p10007", "p2^31-1", "QQ"]
+)
+def test_flag_dims_match_intersection_oracle(field, d):
+    rng = random.Random(8000 + d)
+    curve = RationalNormalCurve(field, d)
+    values = set()
+    for trial in range(4):
+        r = rng.randint(1, 3)
+        points = [curve.point(1, 0)] if trial % 2 == 0 else []
+        while len(points) < r:
+            p = curve.point(rng.randrange(-50, 50) if field == QQ else field.random_element(rng), 1)
+            if p not in points:
+                points.append(p)
+        center = _random_center_near(curve, points, rng.randint(1, 3), rng)
+        values |= _assert_flag_dims_match_oracle(center, curve, points, d + 1)
+    assert max(values) >= 2  # the cells reach nontrivial intersections
+
+
+def test_flag_dims_match_intersection_oracle_user_model():
+    d = 6
+    curve = RationalNormalCurve(F, d)
+    names = {"P": curve.point(1, 0), "Q": curve.point(3, 1), "R": curve.point(11, 1)}
+    tables = {}
+    for name, point in names.items():
+        tables[name] = []
+        for k in range(d + 1):
+            row = [0] * (d + 1)
+            row[k] = 1
+            tables[name].append(list(curve.local_expansion(row, point, d + 2).coeffs[0]))
+    model = ExpansionCurveModel(F, d + 1, d, 0, tables)
+    rng = random.Random(31)
+    for _ in range(3):
+        center = _random_center_near(curve, list(names.values()), 2, rng)
+        values = _assert_flag_dims_match_oracle(center, model, list(names), d + 1)
+        assert values >= {0, 1, 2}
+
+
+def test_dual_path_mismatch_raises(monkeypatch):
+    real = GapFunction.__call__
+
+    def off_by_one_at_2(self, alpha):
+        value = real(self, alpha)
+        return value + 1 if self.kind == VECTOR_SPACE and tuple(alpha) == (2,) else value
+
+    monkeypatch.setattr(GapFunction, "__call__", off_by_one_at_2)
+    with pytest.raises(GapcurveError, match=r"dual-path mismatch at alpha=\(2,\)"):
+        analyze(quintic_345_center(F), RationalNormalCurve(F, 5))
+
+
+def test_analyze_clusters_at_largest_prime():
+    """Over F_(2^31 - 1) the scan is out of reach, so the clusters are named.
+
+    The whole cluster pipeline, dual-path check included, runs at the largest
+    allowed prime.  A row-reduced M has at most ell + 1 nonzero entries per
+    row, so its products rarely reach 2^63; the overflow bound of
+    ``linalg.image_block`` itself is pinned with dense M in test_linalg.
+    """
+    from gapcurve.schubert import sample_center, stratum_spec
+
+    field = GF(2**31 - 1)
+    curve = RationalNormalCurve(field, 8)
+    cases = [
+        ("2.2.a", [(2**30 + 12345, 1), (1, 0)]),
+        ("3.3.a", [(2**31 - 1000, 1), (987654321, 1), (1, 0)]),
+    ]
+    for label, coords in cases:
+        points = [curve.point(*c) for c in coords]
+        center = sample_center(stratum_spec(label, points, curve, 3), 7, curve)
+        report = analyze(center, curve, clusters=[points])
+        assert [cl.type_label for cl in report.clusters] == [label]
+        assert report.completeness["complete"] is None
