@@ -12,7 +12,9 @@ A job is a single JSON object:
       "params": { ... per command ... }
     }
 
-Unknown keys are rejected.  Output is deterministic for a fixed job: keys
+Unknown keys are rejected.  Integers and booleans must be JSON integers and
+JSON booleans (``true`` is not the integer 1, and ``"no"`` is not false), and
+``out`` must be a string.  Output is deterministic for a fixed job: keys
 are sorted, rationals serialize as "p/q" strings, prime-field elements as
 integers in [0, p).  Exit codes: 0 success, 1 internal error (an unexpected
 exception in one job, reported in that job's envelope), 2 validation error,
@@ -65,9 +67,26 @@ _TOP_KEYS = {"schema_version", "command", "field", "seed", "truncation_cap", "ou
 
 
 def _check_keys(obj: dict, allowed: set, where: str):
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where} must be an object")
     unknown = set(obj) - allowed
     if unknown:
         raise ValidationError(f"unknown {where} fields: {sorted(unknown)}")
+
+
+def _check_int(name: str, value, least=None):
+    """The value, if it is a JSON integer (not a boolean) and at least ``least``."""
+    floor = "" if least is None else f" >= {least}"
+    if isinstance(value, bool) or not isinstance(value, int) or floor and value < least:
+        raise ValidationError(f"{name} must be an integer{floor}")
+    return value
+
+
+def _get_bool(params: dict, name: str, default: bool) -> bool:
+    value = params.get(name, default)
+    if not isinstance(value, bool):
+        raise ValidationError(f"{name} must be true or false")
+    return value
 
 
 class JobSpec:
@@ -82,13 +101,13 @@ class JobSpec:
             raise ValidationError(f"command must be one of {COMMANDS}, got {command!r}")
         self.command = command
         self.field = field_from_name(obj.get("field", "rational"))
-        self.seed = obj.get("seed", 0)
-        if not isinstance(self.seed, int):
-            raise ValidationError("seed must be an integer")
-        self.truncation_cap = obj.get("truncation_cap", TRUNCATION_CAP)
-        if not isinstance(self.truncation_cap, int) or self.truncation_cap < 4:
-            raise ValidationError("truncation_cap must be an integer >= 4")
+        self.seed = _check_int("seed", obj.get("seed", 0))
+        self.truncation_cap = _check_int(
+            "truncation_cap", obj.get("truncation_cap", TRUNCATION_CAP), 4
+        )
         self.out = obj.get("out")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValidationError("out must be a string path")
         self.params = obj.get("params", {})
         if not isinstance(self.params, dict):
             raise ValidationError("params must be an object")
@@ -148,13 +167,9 @@ def _parse_series_vectors(field, params):
     _check_keys(
         params, {"branches", "truncation", "vectors", "adjoin_unit"}, "classify-series params"
     )
-    r = params.get("branches")
-    n = params.get("truncation", 16)
+    r = _check_int("branches", params.get("branches"), 1)
+    n = _check_int("truncation", params.get("truncation", 16), 2)
     vectors = params.get("vectors")
-    if not isinstance(r, int) or r < 1:
-        raise ValidationError("branches must be a positive integer")
-    if not isinstance(n, int) or n < 2:
-        raise ValidationError("truncation must be an integer >= 2")
     if not isinstance(vectors, list) or not vectors:
         raise ValidationError("vectors must be a nonempty list")
     amb = Ambient(field, r, n)
@@ -166,13 +181,11 @@ def _parse_series_vectors(field, params):
         for term in vec:
             if not isinstance(term, list) or len(term) != 3:
                 raise ValidationError("each term is [branch, exponent, coefficient]")
-            b, e, c = term
-            if not isinstance(b, int) or not isinstance(e, int):
-                raise ValidationError("term branch and exponent must be integers")
+            b, e = _check_int("term branch", term[0]), _check_int("term exponent", term[1])
             if e < n:
-                terms.append((b, e, field.from_json(c)))
+                terms.append((b, e, field.from_json(term[2])))
         out.append(TruncatedSeries.from_monomials(amb, terms))
-    if params.get("adjoin_unit", False):
+    if _get_bool(params, "adjoin_unit", False):
         out.insert(0, TruncatedSeries.unit(amb))
     return amb, out
 
@@ -204,8 +217,6 @@ def _cmd_classify_series(job: JobSpec):
 
 
 def _parse_center(field, degree, spec) -> ProjectionCenter:
-    if not isinstance(spec, dict):
-        raise ValidationError("center must be an object")
     _check_keys(spec, {"rows", "linear_system", "points"}, "center")
     given = [k for k in ("rows", "linear_system", "points") if k in spec]
     if len(given) != 1:
@@ -228,11 +239,14 @@ def _parse_curve_model(field, degree, spec):
     if spec is None:
         return RationalNormalCurve(field, degree)
     _check_keys(spec, {"dim_w", "genus", "expansions"}, "curve_model")
-    dim_w = spec.get("dim_w", degree + 1)
-    genus = spec.get("genus", 0)
+    dim_w = _check_int("curve_model.dim_w", spec.get("dim_w", degree + 1), 1)
+    genus = _check_int("curve_model.genus", spec.get("genus", 0), 0)
     tables = spec.get("expansions")
-    if not isinstance(tables, dict) or not tables:
-        raise ValidationError("curve_model.expansions must map point names to tables")
+    if not isinstance(tables, dict) or not tables or not all(
+        isinstance(table, list) and all(isinstance(row, list) for row in table)
+        for table in tables.values()
+    ):
+        raise ValidationError("curve_model.expansions must map point names to lists of rows")
     parsed = {
         key: [[field.from_json(c) for c in row] for row in table]
         for key, table in tables.items()
@@ -257,9 +271,7 @@ def _parse_clusters(params):
 def _cmd_analyze(job: JobSpec, enforce_default=True):
     params = job.params
     _check_keys(params, _ANALYZE_KEYS, "analyze params")
-    degree = params.get("degree")
-    if not isinstance(degree, int) or degree < 1:
-        raise ValidationError("degree must be a positive integer")
+    degree = _check_int("degree", params.get("degree"), 1)
     center = _parse_center(job.field, degree, params.get("center"))
     curve = _parse_curve_model(job.field, degree, params.get("curve_model"))
     clusters = _parse_clusters(params)
@@ -269,9 +281,9 @@ def _cmd_analyze(job: JobSpec, enforce_default=True):
         center,
         curve,
         clusters=clusters,
-        enforce_hypotheses=params.get("enforce_hypotheses", enforce_default),
-        crosscheck=params.get("crosscheck", True),
-        certify=params.get("certify"),
+        enforce_hypotheses=_get_bool(params, "enforce_hypotheses", enforce_default),
+        crosscheck=_get_bool(params, "crosscheck", True),
+        certify=_get_bool(params, "certify", False),
         truncation_cap=job.truncation_cap,
         rng=_random.Random(job.seed),
     )
@@ -312,32 +324,32 @@ def _cmd_sample_stratum(job: JobSpec):
     _check_keys(
         params, {"degree", "dim_center", "type", "points", "types", "count"}, "sample params"
     )
-    degree = params.get("degree")
-    ell = params.get("dim_center")
-    count = params.get("count", 1)
-    if not all(isinstance(x, int) for x in (degree, ell, count)) or count < 1:
-        raise ValidationError("degree, dim_center, and count must be integers")
+    degree = _check_int("degree", params.get("degree"), 1)
+    ell = _check_int("dim_center", params.get("dim_center"), 1)
+    count = _check_int("count", params.get("count", 1), 1)
     curve = RationalNormalCurve(job.field, degree)
 
-    def parse_points(raw):
-        return [
-            curve.point(job.field.from_json(a), job.field.from_json(b)) for a, b in raw
-        ]
+    def parse_spec(entry):
+        label, raw = entry.get("type"), entry.get("points")
+        if not isinstance(label, str):
+            raise ValidationError("type must be a type label")
+        if not isinstance(raw, list) or not all(isinstance(q, list) and len(q) == 2 for q in raw):
+            raise ValidationError("points must be a list of [a, b] pairs")
+        points = [curve.point(job.field.from_json(a), job.field.from_json(b)) for a, b in raw]
+        return schubert.stratum_spec(label, points, curve, ell)
 
     if "types" in params:
         # a configuration: list of {"type": label, "points": [[a, b], ...]}
         if "type" in params or "points" in params:
             raise ValidationError("give either type/points or types, not both")
+        if not isinstance(params["types"], list) or not params["types"]:
+            raise ValidationError("types must be a nonempty list of {type, points} objects")
         specs = []
         for entry in params["types"]:
             _check_keys(entry, {"type", "points"}, "configuration entry")
-            specs.append(
-                schubert.stratum_spec(entry["type"], parse_points(entry["points"]), curve, ell)
-            )
+            specs.append(parse_spec(entry))
     else:
-        specs = [
-            schubert.stratum_spec(params.get("type"), parse_points(params.get("points")), curve, ell)
-        ]
+        specs = [parse_spec(params)]
     n = degree - ell
     codim, family_dim = schubert.configuration_codim(
         [s.stype for s in specs], degree, n
@@ -379,14 +391,9 @@ def _cmd_sample_stratum(job: JobSpec):
 def _cmd_fuzz_key_lemma(job: JobSpec):
     params = job.params
     _check_keys(params, {"count", "max_branches", "max_delta"}, "fuzz params")
-    count = params.get("count", 50)
-    max_branches = params.get("max_branches", 3)
-    max_delta = params.get("max_delta", 4)
-    for name, value, least in (
-        ("count", count, 0), ("max_branches", max_branches, 1), ("max_delta", max_delta, 0)
-    ):
-        if not isinstance(value, int) or isinstance(value, bool) or value < least:
-            raise ValidationError(f"{name} must be an integer >= {least}")
+    count = _check_int("count", params.get("count", 50), 0)
+    max_branches = _check_int("max_branches", params.get("max_branches", 3), 1)
+    max_delta = _check_int("max_delta", params.get("max_delta", 4), 0)
     import random as _random
 
     rng = _random.Random(job.seed)
@@ -519,6 +526,8 @@ def main(argv=None) -> int:
         if args.job:
             raw = sys.stdin.read() if args.job == "-" else open(args.job, encoding="utf-8").read()
             obj = json.loads(raw)
+            if not isinstance(obj, dict):
+                raise ValidationError("job must be a JSON object")
         if args.command:
             obj["command"] = args.command
         if args.params:
@@ -530,10 +539,10 @@ def main(argv=None) -> int:
         if args.truncation_cap is not None:
             obj["truncation_cap"] = args.truncation_cap
         code, outcome = _run_job_obj(obj)
-        out_path = args.out or outcome.get("out") or (obj.get("out") if isinstance(obj, dict) else None)
-        _emit(_dump(outcome), out_path, args.quiet)
+        out = obj.get("out")
+        _emit(_dump(outcome), args.out or (out if isinstance(out, str) else None), args.quiet)
         return code
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, ValidationError) as exc:
         sys.stderr.write(f"gapcurve: {exc}\n")
         return 2
 

@@ -13,6 +13,10 @@ the same valuations and gap values; pinning one makes runs reproducible.
 A user-supplied model is a table of local expansions of a section basis at
 finitely many points; it supports the same osculating/multifiltration
 queries, with the section space dimension and genus provided by the caller.
+
+A model is defined by its jet rows: ``osc_rows(P, N)`` is the matrix J_P
+whose row j reads the t^j coefficient of a section's local expansion at P.
+Both models derive section values and expansions from it as J_P·c.
 """
 
 from __future__ import annotations
@@ -67,6 +71,25 @@ class CurvePoint:
         return f"({self.a} : {self.b})"
 
 
+def _expansions(curve, sections, point, truncation: int):
+    """J_P·c for each coefficient vector c, with J_P = curve.osc_rows(P, truncation):
+    the first ``truncation`` coefficients of each section's expansion at P."""
+    field = curve.field
+    sections = [[field(c) for c in coeffs] for coeffs in sections]
+    return linalg._dot_rows(sections, curve.osc_rows(point, truncation), field)
+
+
+def _section_value(curve, coeffs, point):
+    """The value of a section at P: the t^0 coefficient of its expansion."""
+    return _expansions(curve, [coeffs], point, 1)[0][0]
+
+
+def _local_expansion(curve, coeffs, point, truncation: int) -> TruncatedSeries:
+    """Expansion of a section in the local parameter at P, to ``truncation`` terms."""
+    out = _expansions(curve, [coeffs], point, truncation)
+    return TruncatedSeries(Ambient(curve.field, 1, truncation), out)
+
+
 class RationalNormalCurve:
     """The degree-d rational normal curve with its full section space."""
 
@@ -101,17 +124,19 @@ class RationalNormalCurve:
 
         Row j extracts the t^j coefficient of a section's local expansion at
         P; the span of rows 0..i-1 annihilates exactly the sections vanishing
-        to order >= i.
+        to order >= i.  Any order >= 0 is allowed: rows past d are zero, as a
+        degree-d section has no t^j term for j > d.
         """
         d = self.degree
         field = self.field
-        if not 0 <= order <= d + 1:
-            raise ValidationError(f"osculating order {order} out of range 0..{d + 1}")
+        if order < 0:
+            raise ValidationError(f"osculating order {order} must be >= 0")
         rows = []
         if point.at_infinity:
             for j in range(order):
                 row = [field.zero] * (d + 1)
-                row[j] = field.one
+                if j <= d:
+                    row[j] = field.one
                 rows.append(row)
             return rows
         a = point.a
@@ -126,41 +151,8 @@ class RationalNormalCurve:
             rows.append(row)
         return rows
 
-    def section_value(self, coeffs, point: CurvePoint):
-        """Evaluate a degree-d form (coefficients in monomial order) at P."""
-        nu = self.veronese_row(point)
-        acc = self.field.zero
-        for c, v in zip(coeffs, nu):
-            if c and v:
-                acc = acc + self.field(c) * v
-        return acc
-
-    def local_expansion(self, coeffs, point: CurvePoint, truncation: int) -> TruncatedSeries:
-        """Taylor expansion of the dehomogenized section in the local parameter."""
-        d = self.degree
-        field = self.field
-        amb = Ambient(field, 1, truncation)
-        out = [field.zero] * truncation
-        if point.at_infinity:
-            # s / x^d = sum_k c_k t^k with t = y/x
-            for k in range(min(d + 1, truncation)):
-                out[k] = field(coeffs[k])
-            return TruncatedSeries(amb, [out])
-        a = point.a
-        apow = [field.one]
-        for _ in range(d):
-            apow.append(apow[-1] * a)
-        # s / y^d = sum_k c_k (a + t)^{d-k}
-        for m in range(truncation):
-            acc = field.zero
-            for k in range(d + 1):
-                e = d - k - m
-                if e >= 0:
-                    c = field(coeffs[k])
-                    if c:
-                        acc = acc + c * field(comb(d - k, m)) * apow[e]
-            out[m] = acc
-        return TruncatedSeries(amb, [out])
+    section_value = _section_value
+    local_expansion = _local_expansion
 
     def all_points(self):
         """Every point of the projective line over a prime field."""
@@ -191,9 +183,9 @@ class ExpansionCurveModel:
             rows = [[field(c) for c in row] for row in table]
             if len(rows) != dim_w:
                 raise ValidationError(f"expansion table at {key!r} must have {dim_w} rows")
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValidationError(f"ragged expansion table at {key!r}")
+            width = len(rows[0]) if rows else 0
+            if not width or any(len(r) != width for r in rows):
+                raise ValidationError(f"empty or ragged expansion table at {key!r}")
             self._tables[key] = rows
 
     @property
@@ -219,30 +211,8 @@ class ExpansionCurveModel:
             )
         return [[row[j] for row in table] for j in range(order)]
 
-    def section_value(self, coeffs, point):
-        table = self._table(point)
-        acc = self.field.zero
-        for c, row in zip(coeffs, table):
-            c = self.field(c)
-            if c and row[0]:
-                acc = acc + c * row[0]
-        return acc
-
-    def local_expansion(self, coeffs, point, truncation: int) -> TruncatedSeries:
-        table = self._table(point)
-        if truncation > len(table[0]):
-            raise ValidationError(
-                f"requested precision {truncation} exceeds table precision {len(table[0])}"
-            )
-        field = self.field
-        out = [field.zero] * truncation
-        for c, row in zip(coeffs, table):
-            c = field(c)
-            if c:
-                for j in range(truncation):
-                    if row[j]:
-                        out[j] = out[j] + c * row[j]
-        return TruncatedSeries(Ambient(field, 1, truncation), [out])
+    section_value = _section_value
+    local_expansion = _local_expansion
 
 
 def osc_subspace(curve, point, order: int):

@@ -211,9 +211,14 @@ def image_block(rows, m_rows, field):
         mt = gfp_matrix(m_rows, len(m_rows[0])).T
         image = (j[:, :, None] * mt[None, :, :] % p).sum(axis=1) % p
         return np.hstack([image, j])
+    return [image + list(row) for image, row in zip(_dot_rows(rows, m_rows, field), rows)]
+
+
+def _dot_rows(a_rows, b_rows, field):
+    """A·Bᵀ as lists: entry (i, j) is the dot product of a_rows[i] and b_rows[j]."""
     return [
-        [sum((x * y for x, y in zip(row, m) if x and y), field.zero) for m in m_rows] + list(row)
-        for row in rows
+        [sum((x * y for x, y in zip(a, b) if x and y), field.zero) for b in b_rows]
+        for a in a_rows
     ]
 
 

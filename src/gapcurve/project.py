@@ -38,6 +38,7 @@ from .curve import (
     CurvePoint,
     ExpansionCurveModel,
     RationalNormalCurve,
+    _expansions,
     _point_key,
 )
 from .errors import (
@@ -414,17 +415,12 @@ def _ramification_symbolic_q(center: ProjectionCenter, curve):
     clusters = []
     for pts in fibers.values():
         pts = sorted(pts, key=lambda q: q.sort_key())
-        tangs = [_is_tangent(center, curve, q) for q in pts]
+        tangs = _tangent_flags(_flag_dims(center, curve, pts, 2), len(pts))
         if len(pts) < 2 and not any(tangs):
             continue
         clusters.append(RamificationCluster(pts, tangs))
     clusters.sort(key=lambda c: c.points[0].sort_key())
     return clusters
-
-
-def _is_tangent(center: ProjectionCenter, curve, point: CurvePoint) -> bool:
-    rows = curve.osc_rows(point, 2)
-    return linalg.intersection_dim(center.rows, rows, center.field) >= 1
 
 
 def find_ramification(center: ProjectionCenter, curve):
@@ -482,20 +478,22 @@ def _choose_section(center: ProjectionCenter, curve, points, rng=None):
 
 
 def _cluster_series_builder(center, curve, points, s_coeffs):
-    """builder(N) -> (ambient, vectors): the subspace (1/s) M at precision N."""
+    """builder(N) -> (ambient, vectors): the subspace (1/s) M at precision N.
+
+    Each point's jet rows J_P are built once per N and expand s and every
+    section of M.
+    """
+    field = center.field
+    m_rows = center.m_basis()
 
     def builder(n):
-        field = center.field
-        amb = Ambient(field, len(points), n)
-        inv = [curve.local_expansion(s_coeffs, p, n).inverse() for p in points]
-        vectors = []
-        for row in center.m_basis():
-            branches = []
-            for p, sinv in zip(points, inv):
-                e = curve.local_expansion(row, p, n) * sinv
-                branches.append(e.coeffs[0])
-            vectors.append(TruncatedSeries(amb, branches))
-        return amb, vectors
+        amb, amb_1 = Ambient(field, len(points), n), Ambient(field, 1, n)
+        branches = []  # per point, the expansions of m/s for m in M
+        for p in points:
+            s_exp, *m_exps = _expansions(curve, [s_coeffs, *m_rows], p, n)
+            sinv = TruncatedSeries(amb_1, [s_exp]).inverse()
+            branches.append([(TruncatedSeries(amb_1, [e]) * sinv).coeffs[0] for e in m_exps])
+        return amb, [TruncatedSeries(amb, list(vector)) for vector in zip(*branches)]
 
     return builder
 
@@ -503,12 +501,9 @@ def _cluster_series_builder(center, curve, points, s_coeffs):
 def _validate_cluster(center, curve, points):
     if len(points) != len(set(_point_key(p) for p in points)):
         raise ValidationError("cluster points must be distinct")
-    if len(points) >= 2:
-        images = {_normalized_image(center, curve, p) for p in points}
-        if len(images) != 1:
-            raise ValidationError(
-                "cluster points do not share an image point (secant property fails)"
-            )
+    images = {_normalized_image(center, curve, p) for p in points}  # raises at a basepoint
+    if len(images) > 1:
+        raise ValidationError("cluster points do not share an image point (secant property fails)")
 
 
 def analyze_at_points(
@@ -526,28 +521,29 @@ def analyze_at_points(
     expansions, cross-checked cell by cell against the flag-side values
     dim(L cap F^alpha) for |alpha| <= d + 1 - 2*rho_g, classified via the
     vector-space table, and resolved through the algebra closure, which also
-    yields the singularity degree.  A user-supplied model's table precision
-    caps the truncation.
+    yields the singularity degree.  The tangent flags are the flag-side cells
+    2·e_i.  A user-supplied model's table precision caps the truncation.
     """
     if isinstance(curve, ExpansionCurveModel):
         truncation_cap = min(truncation_cap, curve.precision)
     reports = []
-    d = center.degree
-    rho_g = curve.genus
+    bound = center.degree + 1 - 2 * curve.genus
     for raw_points in clusters:
         points = list(raw_points)
         _validate_cluster(center, curve, points)
         s_coeffs = _choose_section(center, curve, points, rng)
         builder = _cluster_series_builder(center, curve, points, s_coeffs)
-        start_n = max(2 * center.ell + 4, d + 2)
+        start_n = max(2 * center.ell + 4, center.degree + 2)
         closed, ring_gap, delta = close_and_stabilize(builder, start_n, cap=truncation_cap)
         n_used = closed.ambient.truncation
         amb, vectors = builder(n_used)
         space = SeriesSubspace.span(amb, vectors)
         vgap = GapFunction(space, VECTOR_SPACE)
+        order = max(2, min(bound, n_used, curve.dim_w))
+        flag_dim = _flag_dims(center, curve, points, order)
 
         if crosscheck:
-            _dual_path_check(center, curve, points, vgap, d, rho_g)
+            _dual_path_check(flag_dim, vgap, bound)
 
         vs_label = None
         stype = None
@@ -573,11 +569,10 @@ def analyze_at_points(
                 )
 
         samples = _lambda_samples(vgap, delta)
-        tangs = [_is_tangent(center, curve, p) for p in points]
         reports.append(
             ClusterReport(
                 points=list(points),
-                tangent=tangs,
+                tangent=_tangent_flags(flag_dim, len(points)),
                 delta=delta,
                 stype=stype,
                 vs_label=vs_label,
@@ -620,14 +615,18 @@ def _flag_dims(center, curve, points, order):
     return lambda alpha: sum(c >= k for c in linalg.stacked_pivots(blocks, alpha, field))
 
 
-def _dual_path_check(center, curve, points, vgap, d, rho_g):
-    """Series-side gap values must equal flag-side dim(L cap F^alpha)."""
-    bound = d + 1 - 2 * rho_g
+def _tangent_flags(flag_dim, r: int) -> list:
+    """Per point P_i: does the tangent line F^(2·e_i) meet L?"""
+    return [flag_dim(tuple(2 * (j == i) for j in range(r))) >= 1 for i in range(r)]
+
+
+def _dual_path_check(flag_dim, vgap, bound):
+    """Series-side gap values must equal flag-side dim(L cap F^alpha) for
+    |alpha| <= bound."""
     n = vgap.truncation
-    flag_dim = _flag_dims(center, curve, points, min(bound, n, curve.dim_w))
     from .gaps import simplex
 
-    for alpha in simplex(bound, len(points)):
+    for alpha in simplex(bound, vgap.arity):
         if any(a > n for a in alpha):
             continue
         series_val, flag_val = vgap(alpha), flag_dim(alpha)

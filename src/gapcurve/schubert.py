@@ -28,7 +28,7 @@ from .classify import SingularityType, concrete_type, vs_row_for
 from .curve import Multifiltration, _point_key
 from .errors import GapcurveError, HypothesisViolationError, ValidationError
 from .fields import PrimeField
-from .project import ProjectionCenter, check_center
+from .project import ProjectionCenter, _flag_dims, check_center
 from .series import Ambient, TruncatedSeries
 
 SAMPLE_RETRIES = 64
@@ -265,15 +265,14 @@ def _random_coeff(field, rng):
     return field(rng.randrange(-99, 100))
 
 
-def _conditions_hold_exactly(center: ProjectionCenter, spec: SchubertSpec) -> bool:
+def _conditions_hold_exactly(center: ProjectionCenter, spec: SchubertSpec, curve) -> bool:
+    """dim(L cap F^alpha) along the spec's chain is exactly what the open cell
+    prescribes: the number of sampled vectors that lie in F^alpha."""
     vdims = _vector_dims(spec.conditions)
-    for alpha, rows in spec.flag:
-        m = sum(alpha)
-        want = sum(1 for v in vdims if v <= m)
-        got = linalg.intersection_dim(center.rows, rows, center.field)
-        if got != want:
-            return False
-    return True
+    flag_dim = _flag_dims(center, curve, spec.points, max(map(max, spec.chain)))
+    return all(
+        flag_dim(alpha) == sum(1 for v in vdims if v <= sum(alpha)) for alpha in spec.chain
+    )
 
 
 def _draw_cell(specs, ell: int, curve, rng):
@@ -304,7 +303,7 @@ def _accept(specs, ell: int, curve, draw, failure: str) -> ProjectionCenter:
         if (
             center is not None
             and center.ell == ell
-            and all(_conditions_hold_exactly(center, s) for s in specs)
+            and all(_conditions_hold_exactly(center, s, curve) for s in specs)
             and check_center(center, curve).basepoint_free
         ):
             return center

@@ -85,6 +85,19 @@ def test_malformed_literal_is_validation_error(field, literal):
     assert code == 2 and out["error"]["kind"] == "ValidationError"
 
 
+_QUINTIC_M = [[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
+_PINF_TABLE = [[1 if j == k else 0 for j in range(14)] for k in range(6)]
+
+
+def _model_params(model):
+    center = {"linear_system": _QUINTIC_M}
+    return {"degree": 5, "center": center, "curve_model": model, "clusters": [["P"]]}
+
+
+def _sample_params(**extra):
+    return {"degree": 8, "dim_center": 3, **extra}
+
+
 @pytest.mark.parametrize(
     "command,params",
     [
@@ -92,10 +105,40 @@ def test_malformed_literal_is_validation_error(field, literal):
         ("analyze-projection", {"degree": 5, "center": {"rows": [5]}}),
         ("classify-series", {"branches": 1, "vectors": [[[0, "2", 1]]]}),
         ("classify-series", {"branches": 1, "vectors": [[[0, 2.5, 1]]]}),
+        ("sample-stratum", _sample_params(types=[5])),
+        ("sample-stratum", _sample_params(type="1.1", points=5)),
+        ("sample-stratum", _sample_params(type="1.1", points=[[1]])),
+        ("sample-stratum", _sample_params(type="1.1")),
+        ("sample-stratum", _sample_params(types=[{"type": "1.1"}])),
+        ("analyze-projection", _model_params(5)),
+        ("analyze-projection", _model_params({"expansions": {"P": 5}})),
+        ("analyze-projection", _model_params({"dim_w": 1, "expansions": {"P": [[]]}})),
+        ("analyze-projection", _model_params({"genus": "x", "expansions": {"P": _PINF_TABLE}})),
     ],
 )
 def test_malformed_input_shape_is_validation_error(command, params):
     code, out = run_job({"command": command, "field": "rational", "params": params})
+    assert code == 2 and out["error"]["kind"] == "ValidationError"
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        {"command": "classify-series", "params": {
+            "branches": 1, "vectors": [[[0, 2, 1]]], "adjoin_unit": "no"}},
+        quintic_345_job(crosscheck="no"),
+        quintic_345_job(certify=7),
+        quintic_345_job(degree=True),
+        dict(quintic_345_job(), seed=True),
+        {"command": "sample-stratum", "field": "Fp:10007",
+         "params": _sample_params(dim_center=True, type="1.1", points=[[6, 1]])},
+        {"command": "enumerate-types", "out": True},
+        {"command": "enumerate-types", "out": 5},
+    ],
+)
+def test_json_types_are_strict(job):
+    # booleans are JSON booleans, integers are never booleans, out is a path
+    code, out = run_job(job)
     assert code == 2 and out["error"]["kind"] == "ValidationError"
 
 
@@ -376,6 +419,22 @@ def test_main_flag_overrides(tmp_path):
     assert code == 0
 
 
+def test_main_job_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text("[1]")
+    assert main(["enumerate-types", "--job", str(path)]) == 2
+    assert "job must be a JSON object" in capsys.readouterr().err
+
+
+def test_main_out_that_is_not_a_string(tmp_path, capsys):
+    # the error report goes to stdout, which stays open
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"out": True}))
+    assert main(["enumerate-types", "--job", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["message"] == "out must be a string path"
+
+
 def test_main_batch(tmp_path, capsys):
     jobs = [
         {"command": "enumerate-types"},
@@ -517,5 +576,90 @@ def test_center_shape_boundary(field, key, shape):
     # A well-formed center may also meet the curve over an extension (4) or
     # outrun the truncation cap (5): documented verdicts.  Only exit 1, an
     # InternalError, would mean an exception escaped.
+    assert code in {0, 2, 3, 4, 5}, out
+    assert out["ok"] == (code == 0)
+
+
+_DELETE = object()
+
+
+def _mutations(bases, good):
+    """A well-formed object from ``bases`` with up to two fields replaced (by a
+    value of the right shape, or by arbitrary JSON) or deleted."""
+
+    def apply(args):
+        base, changes = args
+        out = json.loads(json.dumps(base))
+        for key, value in changes:
+            if value is _DELETE:
+                out.pop(key, None)
+            else:
+                out[key] = value
+        return out
+
+    change = st.sampled_from(sorted(good)).flatmap(
+        lambda key: st.tuples(st.just(key), st.one_of(good[key], _values, st.just(_DELETE)))
+    )
+    return st.tuples(st.sampled_from(bases), st.lists(change, max_size=2)).map(apply)
+
+
+_point_pairs = st.lists(st.lists(st.integers(0, 12), min_size=2, max_size=2), max_size=4)
+_labels = st.sampled_from(["1.1", "1.2", "2.1.a", "2.2.b", "2.3", "3.1.d", "3.2.f", "3.4", "x"])
+_SAMPLE_PARAMS = [
+    {"degree": 8, "dim_center": 3, "type": "1.1", "points": [[6, 1]]},
+    {"degree": 5, "dim_center": 2, "type": "1.2", "points": [[2, 1], [1, 0]]},
+    {"degree": 8, "dim_center": 3, "types": [
+        {"type": "1.2", "points": [[2, 1], [9, 1]]}, {"type": "1.1", "points": [[4, 1]]}]},
+]
+_one_type = st.fixed_dictionaries({"type": _labels, "points": _point_pairs})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    params=_mutations(
+        _SAMPLE_PARAMS,
+        {
+            "degree": st.integers(-1, 8),
+            "dim_center": st.integers(-1, 4),
+            "type": _labels,
+            "points": _point_pairs,
+            "types": st.lists(st.one_of(_one_type, _values), max_size=3),
+        },
+    )
+)
+def test_sample_stratum_params_boundary(params):
+    params["count"] = 1
+    code, out = run_job({"command": "sample-stratum", "field": "Fp:10007", "params": params})
+    assert code in {0, 2, 3}, out
+    assert out["ok"] == (code == 0)
+
+
+# the quintic's monomial expansions at (0:1), with t = x/y
+_P0_TABLE = [[1 if j == 5 - k else 0 for j in range(14)] for k in range(6)]
+
+
+def _tables(width):
+    exact = {"P": [row[:width] for row in _PINF_TABLE], "Q": [row[:width] for row in _P0_TABLE]}
+    table = st.lists(
+        st.lists(st.integers(-2, 2), min_size=width, max_size=width), min_size=5, max_size=7
+    )
+    return st.one_of(st.just(exact), st.dictionaries(st.sampled_from(["P", "Q"]), table))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    model=_mutations(
+        [{"expansions": {"P": _PINF_TABLE, "Q": _P0_TABLE}}],
+        {
+            "dim_w": st.integers(0, 7),
+            "genus": st.integers(-1, 2),
+            "expansions": st.integers(0, 14).flatmap(_tables),
+        },
+    ),
+    clusters=st.sampled_from([[["P"]], [["P", "Q"]], [["P"], ["Q"]]]),
+)
+def test_curve_model_boundary(model, clusters):
+    params = dict(_model_params(model), clusters=clusters)
+    code, out = run_job({"command": "analyze-projection", "field": "Fp:101", "params": params})
     assert code in {0, 2, 3, 4, 5}, out
     assert out["ok"] == (code == 0)

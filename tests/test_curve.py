@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -106,6 +107,36 @@ def test_local_expansion_unit_when_nonvanishing():
     # the zero section expands to zero
     z = curve.local_expansion([0] * 5, pt, 6)
     assert not z
+
+
+def test_local_expansion_past_degree_is_zero():
+    # a degree-d section has no t^j term for j > d, so J_P's rows past d vanish
+    d = 4
+    coeffs = [3, 1, 4, 1, 5]
+    for field in (QQ, GF(101)):
+        curve = RationalNormalCurve(field, d)
+        for a in (2, -7):
+            # oracle: s(a + t, 1) = sum_k c_k (a + t)^(d-k), expanded binomially
+            want = [0] * (3 * d)
+            for k, c in enumerate(coeffs):
+                for m in range(d - k + 1):
+                    want[m] += c * comb(d - k, m) * a ** (d - k - m)
+            got = curve.local_expansion(coeffs, curve.point(a, 1), 3 * d).coeffs[0]
+            assert list(got) == [field(w) for w in want]
+        at_inf = curve.local_expansion(coeffs, curve.point(1, 0), 3 * d).coeffs[0]
+        assert list(at_inf) == [field(c) for c in coeffs] + [field.zero] * (2 * d - 1)
+        with pytest.raises(ValidationError):
+            curve.osc_rows(curve.point(1, 0), -1)
+
+
+def test_user_model_expansion_past_precision_raises():
+    model = ExpansionCurveModel(QQ, 3, 2, 0, {"P": [[1, 0, 2], [0, 1, 0], [0, 0, 1]]})
+    assert list(model.local_expansion([1, 2, 3], "P", 3).coeffs[0]) == [QQ(1), QQ(2), QQ(5)]
+    assert model.section_value([1, 2, 3], "P") == QQ(1)
+    with pytest.raises(ValidationError):
+        model.local_expansion([1, 2, 3], "P", 4)
+    with pytest.raises(ValidationError):
+        ExpansionCurveModel(QQ, 1, 2, 0, {"P": [[]]})
 
 
 def test_expansion_order_matches_osc_pairing():

@@ -23,6 +23,7 @@ from gapcurve.project import (
     find_ramification,
     verify_genus_bound,
 )
+from gapcurve.schubert import sample_center, stratum_spec
 
 F = GF(10007)
 
@@ -473,6 +474,17 @@ def test_user_model_unknown_point_name():
         model.osc_rows("nope", 1)
 
 
+def test_named_basepoint_is_validation_error():
+    # every form of M is divisible by x^2, so all of them vanish at (0:1)
+    c = ProjectionCenter.from_linear_system(F, 5, monomial_rows(5, [0, 1, 2, 3]))
+    curve = RationalNormalCurve(F, 5)
+    basepoint = _named_model(curve, {"B": curve.point(0, 1)}, 16)
+    with pytest.raises(ValidationError, match="is a basepoint"):
+        analyze(c, basepoint, clusters=[["B"]])
+    with pytest.raises(ValidationError, match="is a basepoint"):
+        analyze(c, curve, clusters=[[curve.point(0, 1)]])
+
+
 def test_analyze_with_clusters(monkeypatch):
     from gapcurve import project
 
@@ -551,23 +563,66 @@ def test_flag_dims_match_intersection_oracle(field, d):
     assert max(values) >= 2  # the cells reach nontrivial intersections
 
 
-def test_flag_dims_match_intersection_oracle_user_model():
-    d = 6
-    curve = RationalNormalCurve(F, d)
-    names = {"P": curve.point(1, 0), "Q": curve.point(3, 1), "R": curve.point(11, 1)}
+def _named_model(curve, names, precision):
+    """A user model from the curve's monomial expansions at the named points."""
+    d = curve.degree
     tables = {}
     for name, point in names.items():
         tables[name] = []
         for k in range(d + 1):
             row = [0] * (d + 1)
             row[k] = 1
-            tables[name].append(list(curve.local_expansion(row, point, d + 2).coeffs[0]))
-    model = ExpansionCurveModel(F, d + 1, d, 0, tables)
+            tables[name].append(list(curve.local_expansion(row, point, precision).coeffs[0]))
+    return ExpansionCurveModel(curve.field, d + 1, d, 0, tables)
+
+
+def test_flag_dims_match_intersection_oracle_user_model():
+    d = 6
+    curve = RationalNormalCurve(F, d)
+    names = {"P": curve.point(1, 0), "Q": curve.point(3, 1), "R": curve.point(11, 1)}
+    model = _named_model(curve, names, d + 2)
     rng = random.Random(31)
     for _ in range(3):
         center = _random_center_near(curve, list(names.values()), 2, rng)
         values = _assert_flag_dims_match_oracle(center, model, list(names), d + 1)
         assert values >= {0, 1, 2}
+
+
+def _tangent_oracle(center, curve, points):
+    return [
+        linalg.intersection_dim(center.rows, curve.osc_rows(p, 2), center.field) >= 1
+        for p in points
+    ]
+
+
+def test_tangent_flags_match_intersection_oracle_over_q():
+    # both the Q route's clusters and the analyzed cluster reports
+    curve = RationalNormalCurve(QQ, 5)
+    seen = set()
+    cases = [("1.1", [(2, 1)]), ("1.2", [(1, 1), (-3, 1)]), ("2.2.b", [(1, 0), (4, 1)])]
+    for label, coords in cases:
+        spec = stratum_spec(label, [curve.point(*c) for c in coords], curve, 2)
+        center = sample_center(spec, 13, curve)
+        clusters = find_ramification(center, curve) + analyze(center, curve).clusters
+        assert clusters
+        for cl in clusters:
+            assert cl.tangent == _tangent_oracle(center, curve, cl.points)
+            seen.update(cl.tangent)
+    assert seen == {True, False}
+
+
+def test_tangent_flags_match_intersection_oracle_user_model():
+    curve = RationalNormalCurve(F, 6)
+    names = {"P": curve.point(1, 0), "Q": curve.point(3, 1), "R": curve.point(11, 1)}
+    model = _named_model(curve, names, 16)
+    cusp = sample_center(stratum_spec("1.1", [names["P"]], curve, 2), 5, curve)
+    node = sample_center(stratum_spec("1.2", [names["Q"], names["R"]], curve, 2), 5, curve)
+    seen = set()
+    for center, clusters in [(cusp, [["P"], ["Q"]]), (node, [["Q", "R"], ["P"]])]:
+        for report in analyze_at_points(center, model, clusters):
+            assert report.tangent == _tangent_oracle(center, model, report.points)
+            seen.update(report.tangent)
+    assert seen == {True, False}
 
 
 def test_dual_path_mismatch_raises(monkeypatch):
@@ -590,8 +645,6 @@ def test_analyze_clusters_at_largest_prime():
     row, so its products rarely reach 2^63; the overflow bound of
     ``linalg.image_block`` itself is pinned with dense M in test_linalg.
     """
-    from gapcurve.schubert import sample_center, stratum_spec
-
     field = GF(2**31 - 1)
     curve = RationalNormalCurve(field, 8)
     cases = [

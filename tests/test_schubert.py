@@ -2,13 +2,17 @@ import random
 
 import pytest
 
+from gapcurve import linalg
 from gapcurve.classify import concrete_type, enumerate_types
 from gapcurve.curve import RationalNormalCurve
 from gapcurve.errors import HypothesisViolationError, ValidationError
-from gapcurve.fields import GF
-from gapcurve.project import analyze
+from gapcurve.fields import GF, QQ
+from gapcurve.project import ProjectionCenter, analyze
 from gapcurve.schubert import (
     Partition,
+    _conditions_hold_exactly,
+    _draw_cell,
+    _vector_dims,
     closed_conditions,
     configuration_codim,
     sample_center,
@@ -120,13 +124,46 @@ def test_sample_and_analyze_representative_types():
 def test_sampled_center_meets_flag_exactly():
     spec, curve = spec_for("2.1.a", 8, 5, seed=3)
     center = sample_center(spec, 11, curve)
-    from gapcurve import linalg
-
     for alpha, rows in spec.flag:
         got = linalg.intersection_dim(center.rows, rows, F)
         m = sum(alpha)
         want = sum(1 for v in [2, 3] if v <= m)  # vector dims for 2.1.a
         assert got == want
+
+
+def _conditions_oracle(center, spec):
+    """The closed conditions by rank arithmetic on the spec's flag rows."""
+    vdims = _vector_dims(spec.conditions)
+    return all(
+        linalg.intersection_dim(center.rows, rows, center.field)
+        == sum(1 for v in vdims if v <= sum(alpha))
+        for alpha, rows in spec.flag
+    )
+
+
+@pytest.mark.parametrize("field", [GF(10007), QQ], ids=["p10007", "QQ"])
+def test_conditions_hold_exactly_matches_intersection_oracle(field):
+    # Draws from each spec's cell, and centers through the point (1:0) that
+    # every spec uses, checked against every spec: a draw from another cell
+    # or through the curve is rejected, so both verdicts are compared.
+    rng = random.Random(41)
+    curve = RationalNormalCurve(field, 8)
+    specs = []
+    for label in ["1.1", "1.2", "2.1.a", "2.3", "3.2.e"]:
+        stype = concrete_type(label)
+        pts = [curve.point(k, 1) for k in rng.sample(range(1, 40), stype.branches - 1)]
+        specs.append(stratum_spec(stype, pts + [curve.point(1, 0)], curve, 3))
+    centers = [_draw_cell([spec], 3, curve, rng) for spec in specs for _ in range(3)]
+    for _ in range(3):
+        rows = _draw_cell([], 2, curve, rng).rows + [curve.veronese_row(curve.point(1, 0))]
+        centers.append(ProjectionCenter.from_rows(field, 8, rows))
+    verdicts = []
+    for center in filter(None, centers):
+        for spec in specs:
+            got = _conditions_hold_exactly(center, spec, curve)
+            assert got == _conditions_oracle(center, spec), spec.stype
+            verdicts.append(got)
+    assert True in verdicts and False in verdicts
 
 
 def test_configuration_codim_quintic():
