@@ -196,7 +196,7 @@ def _cmd_classify_series(job: JobSpec):
 
     def builder(n):
         # the input is already at fixed precision; escalation past it is capped
-        return amb, [TruncatedSeries.from_flat(amb, row) for row in space.rows]
+        return amb, space._rows
 
     closed, gap, delta = close_and_stabilize(builder, amb.truncation, cap=amb.truncation)
     stype = classify_ring(gap)

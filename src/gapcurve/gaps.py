@@ -21,8 +21,7 @@ from .errors import (
     StabilizationCapError,
     ValidationError,
 )
-from . import linalg
-from .series import SeriesSubspace, TruncatedSeries, quotient_dim
+from .series import SeriesSubspace, _echelon, _products, quotient_dim
 
 VECTOR_SPACE = "vector-space"
 ALGEBRA_CLOSED = "algebra-closed"
@@ -164,18 +163,13 @@ def close_algebra(space: SeriesSubspace) -> SeriesSubspace:
             "subspace contains no unit of S (all-branch nonzero constant term)"
         )
     ambient = space.ambient
-    generators = space.basis()
-    rows, pivots = space.rows, space.pivots
-    frontier = generators
+    generators = rows = space._rows
+    pivots = space.pivots
+    frontier = list(generators)
     while frontier:
-        products = [(f * g).flat() for f in frontier for g in generators]
         old = set(pivots)
-        rows, pivots = linalg.rref(rows + products, ambient.field)
-        frontier = [
-            TruncatedSeries.from_flat(ambient, row)
-            for row, pc in zip(rows, pivots)
-            if pc not in old
-        ]
+        rows, pivots = _echelon(ambient, rows, _products(ambient, frontier, generators))
+        frontier = [row for row, pc in zip(rows, pivots) if pc not in old]
     return SeriesSubspace(ambient, rows, pivots)
 
 
@@ -221,7 +215,8 @@ def key_lemma_holds(gap: GapFunction, gamma: int) -> bool:
 def close_and_stabilize(builder, start_truncation: int, cap: int = TRUNCATION_CAP):
     """Close an algebra and certify its degree, escalating the truncation.
 
-    ``builder(N)`` must return (ambient, vectors) regenerated at precision N.
+    ``builder(N)`` must return (ambient, vectors) regenerated at precision N;
+    over F_p the vectors may be one int64 residue array of flat rows.
     Doubles N on stabilization failures, up to ``cap``.  Returns
     (closed subspace, gap function, delta).
     """

@@ -20,7 +20,12 @@ Matrix = list  # list of rows
 # numpy kernel for F_p (int64 entries in [0, p))
 
 def gfp_rref(a: np.ndarray, p: int):
-    """In-place reduced row echelon form mod p.  Returns (rref, pivot cols)."""
+    """Reduced row echelon form mod p of a copy of a.  Returns (rref, pivot cols).
+
+    Row r is zero left of its pivot column c, so only columns >= c change.  A
+    product of two residues stays below 2^62 for p < 2^31, so each update is
+    exact in int64 before it is reduced.
+    """
     a = np.ascontiguousarray(a % p, dtype=np.int64)
     nrows, ncols = a.shape
     pivots = []
@@ -28,7 +33,7 @@ def gfp_rref(a: np.ndarray, p: int):
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
@@ -36,10 +41,10 @@ def gfp_rref(a: np.ndarray, p: int):
             a[[r, i]] = a[[i, r]]
         inv = pow(int(a[r, c]), p - 2, p)
         a[r] = a[r] * inv % p
-        rows = np.nonzero(a[:, c])[0]
+        rows = a[:, c].nonzero()[0]
         rows = rows[rows != r]
         if rows.size:
-            a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
+            a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return a[: len(pivots)], pivots
@@ -79,6 +84,17 @@ def gfp_matrix(rows, ncols: int) -> np.ndarray:
     for i, row in enumerate(rows):
         out[i] = [x.value for x in row]
     return out
+
+
+def gfp_elements(a: np.ndarray, field) -> list:
+    """The rows of a residue array as lists of field elements (the inverse of gfp_matrix)."""
+    return [[GFElement(field, x) for x in row] for row in a.tolist()]
+
+
+def gfp_dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """A·Bᵀ mod p.  Every product of two residues (below 2^62 for p < 2^31) is
+    reduced before summing, so a sum of n terms stays below n·p and is exact."""
+    return (a[:, None, :] * b[None, :, :] % p).sum(axis=2) % p
 
 
 def batch_inverse(vals: np.ndarray, p: int) -> np.ndarray:
@@ -137,16 +153,18 @@ def rref(rows, field):
         return [], []
     if isinstance(field, PrimeField):
         a, piv = gfp_rref(gfp_matrix(rows, len(rows[0])), field.p)
-        out = [[GFElement(field, int(x)) for x in row] for row in a]
-        return out, piv
+        return gfp_elements(a, field), piv
     return _rref_generic(rows, field)
 
 
 def rank(rows, field) -> int:
-    if not rows:
+    """Rank of a list of rows, or over F_p also of an int64 residue array."""
+    if len(rows) == 0:
         return 0
     if isinstance(field, PrimeField):
-        return len(gfp_pivots(gfp_matrix(rows, len(rows[0])), field.p))
+        if not isinstance(rows, np.ndarray):
+            rows = gfp_matrix(rows, len(rows[0]))
+        return len(gfp_pivots(rows, field.p))
     return len(_rref_generic(rows, field)[1])
 
 
@@ -200,17 +218,12 @@ def image_block(rows, m_rows, field):
     rank(F·Mᵀ), all pivots count rank F, and the pivots at index >= k count
     dim(F ∩ ker Mᵀ).
 
-    Over F_p the block is one int64 residue array.  J·Mᵀ reduces every
-    product of two residues (below 2^62 for p < 2^31) mod p before summing,
-    so a sum of n terms stays below n·p and is exact.  Over the rationals it
-    is a list of Fraction rows.
+    Over F_p the block is one int64 residue array, with J·Mᵀ from
+    ``gfp_dot``.  Over the rationals it is a list of Fraction rows.
     """
     if isinstance(field, PrimeField):
-        p = field.p
         j = gfp_matrix(rows, len(m_rows[0]))
-        mt = gfp_matrix(m_rows, len(m_rows[0])).T
-        image = (j[:, :, None] * mt[None, :, :] % p).sum(axis=1) % p
-        return np.hstack([image, j])
+        return np.hstack([gfp_dot(j, gfp_matrix(m_rows, len(m_rows[0])), field.p), j])
     return [image + list(row) for image, row in zip(_dot_rows(rows, m_rows, field), rows)]
 
 

@@ -51,7 +51,7 @@ from .errors import (
 )
 from .fields import PrimeField
 from .gaps import TRUNCATION_CAP, VECTOR_SPACE, GapFunction, close_and_stabilize
-from .series import Ambient, SeriesSubspace, TruncatedSeries
+from .series import Ambient, SeriesSubspace, TruncatedSeries, _gfp_inverse, _gfp_products
 
 
 class ProjectionCenter:
@@ -481,13 +481,21 @@ def _cluster_series_builder(center, curve, points, s_coeffs):
     """builder(N) -> (ambient, vectors): the subspace (1/s) M at precision N.
 
     Each point's jet rows J_P are built once per N and expand s and every
-    section of M.
+    section of M.  Over F_p the vectors are one int64 residue array.
     """
     field = center.field
     m_rows = center.m_basis()
+    r = len(points)
 
     def builder(n):
-        amb, amb_1 = Ambient(field, len(points), n), Ambient(field, 1, n)
+        amb = Ambient(field, r, n)
+        if isinstance(field, PrimeField):
+            # rows [s; M] of (1 + k, r·N) expansions; m/s is the product with s^-1
+            sections = linalg.gfp_matrix([s_coeffs, *m_rows], curve.dim_w)
+            jets = [linalg.gfp_matrix(curve.osc_rows(p, n), curve.dim_w) for p in points]
+            exps = np.hstack([linalg.gfp_dot(sections, j, field.p) for j in jets])
+            return amb, _gfp_products(exps[1:], _gfp_inverse(exps[:1], r, field.p), r, field.p)
+        amb_1 = Ambient(field, 1, n)
         branches = []  # per point, the expansions of m/s for m in M
         for p in points:
             s_exp, *m_exps = _expansions(curve, [s_coeffs, *m_rows], p, n)

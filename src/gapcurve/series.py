@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from itertools import product
 
+import numpy as np
+
 from .errors import AmbientMismatchError, ValidationError
 from .fields import PrimeField
 from . import linalg
@@ -278,33 +280,101 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return a * b
 
 
-class SeriesSubspace:
-    """A finite-dimensional subspace of the truncated ring, in reduced echelon form."""
+def _gfp_products(a: np.ndarray, b: np.ndarray, branches: int, p: int) -> np.ndarray:
+    """Every product a_i·b_j of two residue arrays of series rows, as row i·len(b) + j.
 
-    __slots__ = ("ambient", "rows", "pivots")
+    Branch-wise truncated convolution: N shifted multiply-adds over an
+    (f, g, r, N) array.  Each product of two residues stays below 2^62 for
+    p < 2^31, which PrimeField enforces, and is reduced mod p before it is
+    added, so a sum of N of them stays below N·p and is exact in int64.
+    """
+    n = a.shape[1] // branches
+    x = a.reshape(len(a), 1, branches, n)
+    y = b.reshape(1, len(b), branches, n)
+    out = np.zeros((len(a), len(b), branches, n), dtype=np.int64)
+    for i in range(n):
+        out[..., i:] += x[..., i : i + 1] * y[..., : n - i] % p
+    return (out % p).reshape(len(a) * len(b), branches * n)
+
+
+def _gfp_inverse(a: np.ndarray, branches: int, p: int) -> np.ndarray:
+    """Branch-wise inverse of one unit series row by Newton's step x <- x·(2 - a·x),
+    which doubles the number of correct coefficients."""
+    n = a.shape[1] // branches
+    x = np.zeros_like(a)
+    x[0, ::n] = [pow(c, -1, p) for c in a[0, ::n].tolist()]
+    for _ in range((n - 1).bit_length()):
+        e = -_gfp_products(a, x, branches, p) % p
+        e[0, ::n] = (e[0, ::n] + 2) % p
+        x = _gfp_products(x, e, branches, p)
+    return x
+
+
+def _echelon(ambient: Ambient, *blocks):
+    """(rows, pivots): the RREF of the stacked blocks of rows, as one int64
+    residue array over F_p and as lists of Fractions over Q."""
+    field = ambient.field
+    if isinstance(field, PrimeField):
+        arrays = [linalg.gfp_matrix(b, ambient.width) if isinstance(b, list) else b for b in blocks]
+        return linalg.gfp_rref(np.vstack(arrays), field.p)
+    return linalg.rref([row for block in blocks for row in block], field)
+
+
+def _products(ambient, frontier, generators):
+    """Every product f·g, f in the frontier and g a generator, as flat rows in
+    the subspace representation (an int64 residue array over F_p)."""
+    field = ambient.field
+    if isinstance(field, PrimeField):
+        return _gfp_products(np.array(frontier), generators, ambient.branches, field.p)
+    gens = [TruncatedSeries.from_flat(ambient, g) for g in generators]
+    return [(TruncatedSeries.from_flat(ambient, f) * g).flat() for f in frontier for g in gens]
+
+
+def _columns(rows, cols):
+    if isinstance(rows, np.ndarray):
+        return rows[:, cols]
+    return [[row[c] for c in cols] for row in rows]
+
+
+class SeriesSubspace:
+    """A finite-dimensional subspace of the truncated ring, in reduced echelon form.
+
+    Over F_p the rows are one int64 (dim x r·N) residue array; ``rows`` and
+    ``basis()`` box them into field elements for callers off the hot path.
+    """
+
+    __slots__ = ("ambient", "pivots", "_rows")
 
     def __init__(self, ambient: Ambient, rows, pivots):
         self.ambient = ambient
-        self.rows = rows
+        if isinstance(ambient.field, PrimeField) and not isinstance(rows, np.ndarray):
+            rows = linalg.gfp_matrix(rows, ambient.width)
+        self._rows = rows
         self.pivots = pivots
 
     @classmethod
     def span(cls, ambient: Ambient, vectors) -> "SeriesSubspace":
-        """Reduced echelon span; deterministic given the input order."""
-        flat = []
-        for v in vectors:
-            if isinstance(v, TruncatedSeries):
-                if v.ambient != ambient:
+        """Reduced echelon span; deterministic given the input order.
+
+        Over F_p the vectors may also be one int64 residue array of flat rows.
+        """
+        if not isinstance(vectors, np.ndarray):
+            vectors = list(vectors)
+            for v in vectors:
+                if isinstance(v, TruncatedSeries) and v.ambient != ambient:
                     raise AmbientMismatchError(f"{v.ambient} vs {ambient}")
-                flat.append(v.flat())
-            else:
-                flat.append(list(v))
-        rows, pivots = linalg.rref(flat, ambient.field)
-        return cls(ambient, rows, pivots)
+            vectors = [v.flat() if isinstance(v, TruncatedSeries) else list(v) for v in vectors]
+        return cls(ambient, *_echelon(ambient, vectors))
+
+    @property
+    def rows(self) -> list:
+        if isinstance(self._rows, np.ndarray):
+            return linalg.gfp_elements(self._rows, self.field)
+        return self._rows
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     @property
     def field(self):
@@ -316,7 +386,7 @@ class SeriesSubspace:
     def contains(self, series: TruncatedSeries) -> bool:
         if series.ambient != self.ambient:
             raise AmbientMismatchError(f"{series.ambient} vs {self.ambient}")
-        return linalg.rank(self.rows + [series.flat()], self.field) == self.dim
+        return len(_echelon(self.ambient, self._rows, [series.flat()])[1]) == self.dim
 
     def contains_unit(self) -> bool:
         """Is some element of the subspace a unit of S?
@@ -329,9 +399,7 @@ class SeriesSubspace:
         """
         n = self.ambient.truncation
         r = self.ambient.branches
-        const_cols = [i * n for i in range(r)]
-        proj = [[row[c] for c in const_cols] for row in self.rows]
-        u_rows, _ = linalg.rref(proj, self.field)
+        u_rows, _ = _echelon(self.ambient, _columns(self._rows, [i * n for i in range(r)]))
         # some coordinate identically zero on U (or U = 0): no unit
         if not all(any(row[i] for row in u_rows) for i in range(r)):
             return False
@@ -340,10 +408,9 @@ class SeriesSubspace:
             return True
         # a combination of RREF rows carries its coefficients at the pivots,
         # so a vector without zero coordinates has all coefficients in F_p^*
-        units = [field(c) for c in range(1, field.p)]
         return any(
-            all(linalg.combine(coeffs, u_rows, field, r))
-            for coeffs in product(units, repeat=len(u_rows))
+            np.all(np.dot(coeffs, u_rows) % field.p)
+            for coeffs in product(range(1, field.p), repeat=len(u_rows))
         )
 
     def jet_rank(self, alpha) -> int:
@@ -355,7 +422,7 @@ class SeriesSubspace:
         for a in alpha:
             if a < 0 or a > n:
                 raise ValidationError(f"exponent vector {alpha} exceeds truncation N={n}")
-        if not self.rows:
+        if not self.pivots:
             return 0
         if r == 1:
             # window is a prefix of the monomial order: pivots decide
@@ -366,8 +433,7 @@ class SeriesSubspace:
             keep.extend(range(i * n, i * n + a))
         if not keep:
             return 0
-        truncated = [[row[c] for c in keep] for row in self.rows]
-        return linalg.rank(truncated, self.field)
+        return linalg.rank(_columns(self._rows, keep), self.field)
 
     def __repr__(self):
         return f"SeriesSubspace(dim={self.dim}, {self.ambient})"

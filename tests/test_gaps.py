@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 from gapcurve import linalg
 from gapcurve.errors import MissingUnitError, NotStabilizedError, ValidationError
-from gapcurve.fields import GF, QQ
+from gapcurve.fields import GF, QQ, GFElement
 from gapcurve.gaps import (
     ALGEBRA_CLOSED,
     VECTOR_SPACE,
@@ -127,6 +128,49 @@ def test_close_algebra_matches_all_products_oracle(field):
         space = SeriesSubspace.span(amb, vecs)
         closed = close_algebra(space)
         assert (closed.rows, closed.pivots) == naive_closure(space)
+
+
+@pytest.mark.parametrize(
+    "field, r",
+    [(GF(2**31 - 1), 2), (GF(3), 3), (GF(3), 4)],
+    ids=["p=2^31-1", "Fp:3-r3", "Fp:3-r4"],
+)
+def test_int64_closure_matches_boxed_oracle(field, r):
+    """The int64 closure against the boxed all-products fixpoint.
+
+    At p = 2^31 - 1 every coefficient sits just below p, so the products of
+    two residues come close to the 2^62 bound.  Over GF(3) the constant terms
+    are random, so with r = 4 > p the unit test needs its search, and some
+    spaces hold no unit at all.
+    """
+    p = field.p
+    rng = random.Random(20261019)
+    outcomes = set()
+    for _ in range(12):
+        n = rng.randrange(3, 9)
+        amb = Ambient(field, r, n)
+        vecs = [
+            TruncatedSeries.from_monomials(amb, [(i, 0, rng.randrange(1, p)) for i in range(r)])
+        ] if p > r else []
+        for _ in range(rng.randrange(2, 5)):
+            terms = [(i, 0, rng.randrange(p)) for i in range(r)] if p <= r else []
+            terms += [
+                (rng.randrange(r), rng.randrange(1, n), rng.randrange(max(1, p - 60), p))
+                for _ in range(rng.randrange(1, 4))
+            ]
+            vecs.append(TruncatedSeries.from_monomials(amb, terms))
+        space = SeriesSubspace.span(amb, vecs)
+        assert isinstance(space._rows, np.ndarray) and space._rows.dtype == np.int64
+        outcomes.add(space.contains_unit())
+        if not space.contains_unit():
+            with pytest.raises(MissingUnitError):
+                close_algebra(space)
+            continue
+        closed = close_algebra(space)
+        assert all(isinstance(x, GFElement) for row in closed.rows for x in row)
+        assert (closed.rows, closed.pivots) == naive_closure(space)
+    if p <= r:
+        assert outcomes == {True, False}
 
 
 def test_gap_eval_golden_values():

@@ -15,6 +15,8 @@ from gapcurve.fields import GF, QQ
 from gapcurve.gaps import VECTOR_SPACE, GapFunction, simplex
 from gapcurve.project import (
     ProjectionCenter,
+    _choose_section,
+    _cluster_series_builder,
     _flag_dims,
     analyze,
     analyze_at_points,
@@ -657,3 +659,28 @@ def test_analyze_clusters_at_largest_prime():
         report = analyze(center, curve, clusters=[points])
         assert [cl.type_label for cl in report.clusters] == [label]
         assert report.completeness["complete"] is None
+
+
+def test_int64_cluster_builder_matches_boxed_series():
+    """Over F_p the cluster builder's residue array is m/s for m in M, checked
+    against boxed local expansions, series inverse and products."""
+    from gapcurve.series import Ambient, TruncatedSeries
+
+    rng = random.Random(12)
+    for field in (F, GF(2**31 - 1)):
+        curve = RationalNormalCurve(field, 8)
+        points = [curve.point(3, 1), curve.point(2**20 + 7, 1), curve.point(1, 0)]
+        rows = [[field.random_element(rng) for _ in range(9)] for _ in range(3)]
+        center = ProjectionCenter.from_rows(field, 8, rows)
+        s = _choose_section(center, curve, points, rng)
+        for n in (1, 5, 12):
+            amb, got = _cluster_series_builder(center, curve, points, s)(n)
+            inv = [curve.local_expansion(s, p, n).inverse() for p in points]
+            want = [
+                TruncatedSeries(
+                    amb,
+                    [(curve.local_expansion(m, p, n) * si).coeffs[0] for p, si in zip(points, inv)],
+                ).flat()
+                for m in center.m_basis()
+            ]
+            assert linalg.gfp_elements(got, field) == want

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapcurve import linalg
 from gapcurve.errors import AmbientMismatchError, ValidationError
 from gapcurve.fields import GF, QQ
 from gapcurve.series import (
     INF,
     Ambient,
     TruncatedSeries,
+    _gfp_inverse,
+    _gfp_products,
     quotient_dim,
     span_reduce,
 )
@@ -265,3 +268,56 @@ def test_contains(field, rng):
     assert not space.contains(member + t_power(amb, 1))
     with pytest.raises(AmbientMismatchError):
         space.contains(TruncatedSeries.unit(Ambient(field, 2, 5)))
+
+
+@pytest.mark.parametrize("p", [3, 101, 2**31 - 1])
+def test_gfp_products_and_inverse_match_boxed(p):
+    """The int64 convolution and Newton inverse against TruncatedSeries, with
+    residues just below p (near the 2^62 product bound at p = 2^31 - 1)."""
+    field = GF(p)
+    rng = random.Random(p)
+    r, n = 3, 9
+    amb = Ambient(field, r, n)
+
+    def near_top(low=0):
+        return field(rng.randrange(max(low, p - 60), p))
+
+    def series(low=0):
+        return TruncatedSeries(amb, [[near_top(low if k == 0 else 0) for k in range(n)] for _ in range(r)])
+
+    a = [series() for _ in range(3)]
+    b = [series() for _ in range(2)]
+    got = _gfp_products(
+        linalg.gfp_matrix([x.flat() for x in a], amb.width),
+        linalg.gfp_matrix([y.flat() for y in b], amb.width),
+        r,
+        p,
+    )
+    assert linalg.gfp_elements(got, field) == [(x * y).flat() for x in a for y in b]
+    unit = series(low=1)
+    inv = _gfp_inverse(linalg.gfp_matrix([unit.flat()], amb.width), r, p)
+    assert linalg.gfp_elements(inv, field) == [unit.inverse().flat()]
+
+
+@pytest.mark.parametrize("p", [3, 101, 2**31 - 1])
+def test_jet_rank_matches_independent_rank(p):
+    field = GF(p)
+    rng = random.Random(20261019 + p)
+    for _ in range(12):
+        r, n = rng.randrange(1, 4), rng.randrange(2, 8)
+        amb = Ambient(field, r, n)
+        vecs = [
+            TruncatedSeries(
+                amb,
+                [[field.random_element(rng) if rng.random() < 0.4 else field.zero for _ in range(n)]
+                 for _ in range(r)],
+            )
+            for _ in range(rng.randrange(1, r * n + 1))
+        ]
+        space = span_reduce(amb, vecs)
+        rows = space.rows
+        for _ in range(8):
+            alpha = tuple(rng.randrange(n + 1) for _ in range(r))
+            keep = [i * n + k for i, a in enumerate(alpha) for k in range(a)]
+            window = [[row[c] for c in keep] for row in rows]
+            assert space.jet_rank(alpha) == independent_rank(window, field, len(keep)), alpha
