@@ -9,14 +9,28 @@ Root finding over a prime field scans the p+1 points of the projective line;
 over the rationals it uses integer divisor candidates, with a cap on the
 divisor search so pathological coefficient growth surfaces as an explicit
 "indeterminate" error instead of an unbounded factorization attempt.
+
+Over the rationals the elimination runs over Z.  ``resultant_in_q`` scales
+each biform into Z by the lcm of its denominators, takes every sample as an
+integer Bareiss determinant and interpolates with Newton divided differences
+that divide exactly: at integer nodes the divided difference of x^j is the
+complete homogeneous symmetric polynomial h_{j-k} of the nodes, so every
+divided difference of an integer polynomial is an integer.  ``form_gcd`` runs
+a primitive pseudo-remainder sequence over Z.  Both return exactly the forms
+that ``Fraction`` arithmetic gives, not just a scalar multiple of them, which
+matters to callers that compare successive gcds with ``==``.  Only Python
+ints are used: no floats and no fixed-width integers, so no overflow bound
+applies.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from math import gcd as int_gcd
+from functools import partial
+from math import gcd as int_gcd, lcm
 
-from .errors import IndeterminateOverFieldError, ValidationError
+from .errors import GapcurveError, IndeterminateOverFieldError, ValidationError
 from .fields import PrimeField, QQ
 
 _DIVISOR_CAP = 200000
@@ -63,10 +77,6 @@ class BinaryForm:
                 acc = acc + c * apow * bpows[d - i]
             apow = apow * a
         return acc
-
-    def univariate(self):
-        """Coefficients of F(x, 1) as a list, low degree first."""
-        return list(self.coeffs)
 
     def mul(self, other: "BinaryForm") -> "BinaryForm":
         f, g = self.coeffs, other.coeffs
@@ -134,11 +144,50 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 
     la, ta, fa = _split_parts(f)
     lb, tb, fb = _split_parts(g)
-    core = _poly_gcd(fa, fb, field)
+    if isinstance(field, PrimeField):
+        core = _poly_gcd(fa, fb, field)
+    else:
+        core = _primitive_prs_gcd(fa, fb)
     a_part = min(la, lb)
     b_part = min(ta, tb)
     out = [field.zero] * a_part + core + [field.zero] * b_part
     return BinaryForm(field, out)
+
+
+def _primitive(cs):
+    """The primitive integer multiple of a nonzero list of rationals."""
+    den = lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (den // c.denominator) for c in cs]
+    content = int_gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _pseudo_remainder(f, g):
+    """lead(g)^k * f mod g for some k >= 0, on low-first integer lists with
+    len(f) >= len(g): only the steps that cancel a nonzero term scale by lead(g)."""
+    r = list(f)
+    n, lead = len(g) - 1, g[-1]
+    for i in range(len(r) - 1, n - 1, -1):
+        c = r.pop()
+        if c:
+            r = [lead * x for x in r]
+            for j in range(n):
+                r[i - n + j] -= c * g[j]
+    return _poly_trim(r, None)
+
+
+def _primitive_prs_gcd(f, g):
+    """Monic gcd over Q of two nonzero trimmed rational lists, by a primitive
+    pseudo-remainder sequence over Z (Collins; Brown, JACM 18, 1971)."""
+    f, g = _primitive(f), _primitive(g)
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        r = _pseudo_remainder(f, g)
+        if not r:
+            break
+        f, g = g, _primitive(r)
+    return [Fraction(c, g[-1]) for c in g]
 
 
 def form_has_roots(form: BinaryForm) -> bool:
@@ -216,12 +265,12 @@ def _split_parts(form: BinaryForm):
 
 
 def _bareiss_det_int(mat) -> int:
-    """Fraction-free determinant of an integer matrix."""
+    """Fraction-free determinant of an integer matrix (1 for the empty one)."""
     n = len(mat)
     mat = [row[:] for row in mat]
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if mat[k][k] == 0:
             piv = next((r for r in range(k + 1, n) if mat[r][k]), None)
             if piv is None:
@@ -237,7 +286,7 @@ def _bareiss_det_int(mat) -> int:
                 row_i[j] = (pkk * row_i[j] - mik * row_k[j]) // prev
             row_i[k] = 0
         prev = pkk
-    return sign * mat[n - 1][n - 1]
+    return sign * prev
 
 
 def _sylvester_rows(fc, gc, zero):
@@ -254,24 +303,16 @@ def _sylvester_rows(fc, gc, zero):
     return rows
 
 
+def _sylvester_det_int(fc, gc) -> int:
+    return _bareiss_det_int(_sylvester_rows(fc, gc, 0))
+
+
 def _sylvester_det(fc, gc, field):
     """Determinant of the Sylvester matrix of two low-first coefficient lists
-    taken at their FORMAL degrees (trailing zeros included)."""
+    taken at their FORMAL degrees (trailing zeros included), by Gaussian
+    elimination over the field."""
     m = len(fc) - 1
     n = len(gc) - 1
-    if m == 0 and n == 0:
-        return field.one
-    if not isinstance(field, PrimeField):
-        # integer Bareiss after clearing denominators
-        lf = 1
-        for c in fc:
-            lf = lf * c.denominator // int_gcd(lf, c.denominator)
-        lg = 1
-        for c in gc:
-            lg = lg * c.denominator // int_gcd(lg, c.denominator)
-        rows = _sylvester_rows([int(c * lf) for c in fc], [int(c * lg) for c in gc], 0)
-        det = _bareiss_det_int(rows)
-        return Fraction(det, lf**n * lg**m)
     size = m + n
     mat = _sylvester_rows(list(fc), list(gc), field.zero)
     det = field.one
@@ -313,25 +354,6 @@ class BiForm:
 
     def is_zero(self):
         return not any(any(row) for row in self.coeffs)
-
-    def evaluate_p(self, a, b) -> BinaryForm:
-        """Specialize the first point, leaving a binary form in (a', b')."""
-        field = self.field
-        a, b = field(a), field(b)
-        apow = field.one
-        bpows = [field.one]
-        for _ in range(self.deg_p):
-            bpows.append(bpows[-1] * b)
-        out = [field.zero] * (self.deg_q + 1)
-        for i, row in enumerate(self.coeffs):
-            w = apow * bpows[self.deg_p - i]
-            apow = apow * a
-            if not w:
-                continue
-            for j, c in enumerate(row):
-                if c:
-                    out[j] = out[j] + w * c
-        return BinaryForm(field, out)
 
     def swap(self) -> "BiForm":
         out = [[self.coeffs[i][j] for i in range(self.deg_p + 1)] for j in range(self.deg_q + 1)]
@@ -439,62 +461,78 @@ def resultant_in_q(h1: BiForm, h2: BiForm) -> BinaryForm:
     """Resultant eliminating the second point, by evaluation-interpolation.
 
     Returns a binary form in the first point of formal degree
-    h1.deg_q * h2.deg_p + h2.deg_q * h1.deg_p.
+    deg = h1.deg_q * h2.deg_p + h2.deg_q * h1.deg_p, fixed by its values at
+    (x : 1) for the deg + 1 small nodes x = 0, 1, -1, 2, ...  Over Q the
+    samples are taken over Z (see the module docstring) and the result is
+    divided by l1^h2.deg_q * l2^h1.deg_q, l_i the lcm of h_i's denominators.
     """
     field = h1.field
     deg = h1.deg_q * h2.deg_p + h2.deg_q * h1.deg_p
-    if deg == 0:
-        return BinaryForm(field, [_sylvester_det(
-            [c for c in h1.evaluate_p(1, 1).coeffs],
-            [c for c in h2.evaluate_p(1, 1).coeffs],
-            field,
-        )])
-    if isinstance(field, PrimeField) and field.p <= deg + 1:
-        raise IndeterminateOverFieldError(
-            f"field F_{field.p} too small to interpolate a degree-{deg} resultant"
-        )
-    # sample at b=1 and small symmetric a values (keeps integer growth down)
-    xs = []
-    vals = []
-    t = 0
-    while len(xs) < deg + 1:
-        t += 1
-        x = field(t // 2 if t % 2 else -(t // 2))
-        f1 = h1.evaluate_p(x, field.one).univariate()
-        f2 = h2.evaluate_p(x, field.one).univariate()
-        xs.append(x)
-        vals.append(_sylvester_det(f1, f2, field))
-    # Lagrange interpolation of the dehomogenized resultant r(x), degree <= deg
-    coeffs = _lagrange(xs, vals, field)
-    coeffs = coeffs + [field.zero] * (deg + 1 - len(coeffs))
-    # homogenize at formal degree deg: index i is the a^i b^(deg-i) coefficient
+    rational = not isinstance(field, PrimeField)
+    if rational:
+        (l1, rows1), (l2, rows2) = _integer_rows(h1), _integer_rows(h2)
+        det, divide = _sylvester_det_int, _exact_quotient
+    else:
+        if field.p <= deg + 1:
+            raise IndeterminateOverFieldError(
+                f"field F_{field.p} too small to interpolate a degree-{deg} resultant"
+            )
+        rows1, rows2 = h1.coeffs, h2.coeffs
+        det, divide = partial(_sylvester_det, field=field), operator.truediv
+    xs = [t // 2 if t % 2 else -(t // 2) for t in range(1, deg + 2)]
+    coeffs = _newton(xs, [det(_at(rows1, x), _at(rows2, x)) for x in xs], divide)
+    if rational:
+        scale = l1**h2.deg_q * l2**h1.deg_q
+        coeffs = [Fraction(c, scale) for c in coeffs]
+    # index i is the a^i b^(deg-i) coefficient
     return BinaryForm(field, coeffs)
 
 
-def _lagrange(xs, ys, field):
-    """Interpolating polynomial through (xs, ys), low-first coefficients."""
+def _integer_rows(h: BiForm):
+    """(l, l * coefficients) for the lcm l of the denominators of a rational biform."""
+    den = lcm(*(c.denominator for row in h.coeffs for c in row))
+    return den, [[c.numerator * (den // c.denominator) for c in row] for row in h.coeffs]
+
+
+def _at(rows, x: int):
+    """The second-point coefficients of a biform's coefficient rows at (x : 1)."""
+    out = rows[-1]
+    for row in reversed(rows[:-1]):
+        out = [o * x + c for o, c in zip(out, row)]
+    return out
+
+
+def _exact_quotient(num: int, den: int) -> int:
+    quot, rem = divmod(num, den)
+    if rem:
+        raise GapcurveError(f"inexact Newton division {num} / {den} over Z")
+    return quot
+
+
+def _newton(xs, ys, divide):
+    """Low-first coefficients of the polynomial of degree < len(xs) through
+    (xs, ys), by Newton divided differences; ``divide`` is the division step.
+
+    The nodes are distinct ints.  Over a field ``divide`` is ``/``.  Over Z it
+    is exact division: when ys are the values of an integer polynomial, every
+    divided difference f[x_i, ..., x_k] is an integer, because for x^j it is the
+    complete homogeneous symmetric polynomial h_{j-k} of those integer nodes;
+    a nonzero remainder therefore raises.  The result is the unique
+    interpolant, equal coefficient by coefficient to the one computed over Q.
+    No floats or fixed-width integers are involved, so there is no overflow
+    bound.
+    """
     n = len(xs)
-    coeffs = [field.zero] * n
-    # Newton's divided differences
     table = list(ys)
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - level])
-    # expand Newton form
-    poly = [field.zero]
-    basis = [field.one]
-    for i in range(n):
-        for j, c in enumerate(basis):
-            if len(poly) <= j:
-                poly.append(field.zero)
-            poly[j] = poly[j] + table[i] * c
-        # basis *= (x - xs[i])
-        new = [field.zero] * (len(basis) + 1)
-        for j, c in enumerate(basis):
-            new[j] = new[j] - c * xs[i]
-            new[j + 1] = new[j + 1] + c
-        basis = new
-    return _poly_trim(poly, field)
+            table[i] = divide(table[i] - table[i - 1], xs[i] - xs[i - level])
+    # Horner on the Newton form: poly <- poly * (x - x_i) + table[i]
+    poly = [table[-1]]
+    for i in range(n - 2, -1, -1):
+        x = xs[i]
+        poly = [table[i] - x * poly[0], *(a - x * b for a, b in zip(poly, poly[1:])), poly[-1]]
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -577,14 +615,7 @@ def _divisors(n: int):
 def _roots_rational(poly):
     """Rational roots of a Fraction-coefficient polynomial, nonzero ends."""
     field = QQ
-    den_lcm = 1
-    for c in poly:
-        den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in poly]
-    g = 0
-    for c in ints:
-        g = int_gcd(g, c)
-    ints = [c // g for c in ints]
+    ints = _primitive(poly)
     a0, an = ints[0], ints[-1]
     candidates = set()
     for p in _divisors(a0):

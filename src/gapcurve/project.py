@@ -669,6 +669,10 @@ def analyze(
     automatic search, so they require clusters.
     """
     d = center.degree
+    if curve.dim_w != d + 1:
+        raise ValidationError(
+            f"the curve model has dim_w {curve.dim_w}, but the center's rows have length {d + 1}"
+        )
     ell = center.ell
     n = center.n
     rho_g = curve.genus

@@ -1,10 +1,19 @@
+import operator
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapcurve.binforms import (
     BiForm,
     BinaryForm,
+    _exact_quotient,
+    _newton,
+    _poly_gcd,
+    _split_parts,
+    _sylvester_det,
     collision_biform,
     derivative_a,
     divide_exact,
@@ -13,7 +22,7 @@ from gapcurve.binforms import (
     projective_roots,
     resultant_in_q,
 )
-from gapcurve.errors import ValidationError
+from gapcurve.errors import GapcurveError, ValidationError
 from gapcurve.fields import GF, QQ
 
 
@@ -28,6 +37,12 @@ def poly_from_roots(field, roots, lead=1):
             new[i + 1] = new[i + 1] + c
         coeffs = new
     return BinaryForm(field, coeffs)
+
+
+def at_first_point(h, x):
+    """The binary form in the second point left by a biform at (x : 1)."""
+    cols = range(h.deg_q + 1)
+    return BinaryForm(h.field, [sum(row[j] * x**i for i, row in enumerate(h.coeffs)) for j in cols])
 
 
 def test_evaluate_and_roots_rational():
@@ -127,12 +142,12 @@ def test_collision_biform_diagonal_division():
     g = [field.zero] * 6
     g[5] = field.one  # y^5
     h = collision_biform(f, g, field, d)
-    assert h.evaluate_p(2, 1).evaluate(2, 1) == 0  # vanishes on the diagonal
+    assert at_first_point(h, 2).evaluate(2, 1) == 0  # vanishes on the diagonal
     hq = h.divide_diagonal()
     assert hq.deg_p == 4 and hq.deg_q == 4
     # the quotient is sum a^i b^(4-i) a'^(4-i) b'^i ... check one value:
     # evaluate at P=(1,1), P'=(1,1): should be 5
-    val = hq.evaluate_p(1, 1).evaluate(1, 1)
+    val = at_first_point(hq, 1).evaluate(1, 1)
     assert val == 5
 
 
@@ -186,3 +201,151 @@ def test_resultant_gfp_matches_rational():
     assert len(rq.coeffs) == len(rp.coeffs)
     for cq, cp in zip(rq.coeffs, rp.coeffs):
         assert field(cq) == cp
+
+
+# ---------------------------------------------------------------------------
+# the Z route over Q against the field-generic route run over QQ
+
+
+_RATIONAL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+
+
+@st.composite
+def rational_biforms(draw):
+    """Bidegrees <= 3; zeroed rows and columns put roots at (0:1) and (1:0)."""
+    dp, dq = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    coeffs = [[draw(_RATIONAL) for _ in range(dq + 1)] for _ in range(dp + 1)]
+    for i in draw(st.lists(st.integers(0, dp), max_size=2)):
+        coeffs[i] = [0] * (dq + 1)
+    for j in draw(st.lists(st.integers(0, dq), max_size=2)):
+        for row in coeffs:
+            row[j] = 0
+    return BiForm(QQ, coeffs, dp, dq)
+
+
+def _generic_resultant(h1, h2):
+    """resultant_in_q by Gaussian Sylvester determinants over QQ and the
+    Fraction Newton interpolation, the route F_p takes."""
+    deg = h1.deg_q * h2.deg_p + h2.deg_q * h1.deg_p
+    xs = [t // 2 if t % 2 else -(t // 2) for t in range(1, deg + 2)]
+    vals = [
+        _sylvester_det(at_first_point(h1, x).coeffs, at_first_point(h2, x).coeffs, QQ) for x in xs
+    ]
+    return BinaryForm(QQ, _newton(xs, vals, operator.truediv))
+
+
+def _euclid_form_gcd(f, g):
+    """form_gcd with the Fraction Euclid on the cores."""
+    la, ta, fa = _split_parts(f)
+    lb, tb, fb = _split_parts(g)
+    core = _poly_gcd(fa, fb, QQ)
+    return BinaryForm(QQ, [0] * min(la, lb) + core + [0] * min(ta, tb))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(h1=rational_biforms(), h2=rational_biforms())
+def test_resultant_over_z_matches_generic_route(h1, h2):
+    res = resultant_in_q(h1, h2)
+    assert res == _generic_resultant(h1, h2)
+    assert res.formal_degree == h1.deg_q * h2.deg_p + h2.deg_q * h1.deg_p
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(h1=rational_biforms(), h2=rational_biforms())
+def test_form_gcd_over_z_matches_euclid(h1, h2):
+    forms = [c for h in (h1, h2) for c in h.p_columns() if not c.is_zero()]
+    for f in forms:
+        for g in forms:
+            assert form_gcd(f, g) == _euclid_form_gcd(f, g)
+        # products share a factor, so the gcd is not a unit
+        assert form_gcd(f.mul(forms[0]), f.mul(forms[-1])) == _euclid_form_gcd(
+            f.mul(forms[0]), f.mul(forms[-1])
+        )
+
+
+def _pair_form(r, s):
+    """(a - r b)(a' - s b') as a BiForm of bidegree (1, 1)."""
+    return BiForm(QQ, [[r * s, -r], [-s, 1]], 1, 1)
+
+
+def test_resultant_edge_cases():
+    # a common factor (a' - 5b') makes the resultant vanish identically
+    shared = _pair_form(2, 5), _pair_form(Fraction(1, 3), 5)
+    zero = resultant_in_q(*shared)
+    assert zero.is_zero() and zero == _generic_resultant(*shared)
+    # deg = 0 through the sampling loop: constant in the first point, or in the second
+    h1 = BiForm(QQ, [[Fraction(1, 2), -3, 1]], 0, 2)
+    h2 = BiForm(QQ, [[Fraction(2, 3), 1]], 0, 1)
+    res = resultant_in_q(h1, h2)
+    assert res.formal_degree == 0 and res == _generic_resultant(h1, h2)
+    assert res.coeffs == (Fraction(1, 2) - 3 * Fraction(-2, 3) + Fraction(4, 9),)
+    consts = BiForm(QQ, [[Fraction(3, 2)], [0]], 1, 0), BiForm(QQ, [[5]], 0, 0)
+    assert resultant_in_q(*consts).coeffs == (1,)
+
+
+def test_newton_over_z_refuses_an_inexact_division():
+    assert _newton([0, 1, -1], [3, 6, 2], _exact_quotient) == [3, 2, 1]  # 3 + 2x + x^2
+    with pytest.raises(GapcurveError):
+        _newton([0, 1, 2], [0, 1, 3], _exact_quotient)  # x (x + 1) / 2
+
+
+def test_form_gcd_edge_cases():
+    f = poly_from_roots(QQ, [1, Fraction(-1, 2)], lead=Fraction(3, 4))
+    fb = BinaryForm(QQ, [0] + list(f.coeffs) + [0])  # times a b
+    assert form_gcd(f, poly_from_roots(QQ, [3, Fraction(1, 2)])).coeffs == (1,)
+    assert form_gcd(fb, fb) == fb.scale(Fraction(4, 3))
+    assert form_gcd(fb, fb) == _euclid_form_gcd(fb, fb)
+    zero = BinaryForm(QQ, [0, 0, 0])
+    assert form_gcd(zero, fb) == fb and form_gcd(fb, zero) == fb
+
+
+# ---------------------------------------------------------------------------
+# optional sympy oracle
+
+
+def test_resultant_and_gcd_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20261017)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    def to_sympy(c):
+        return sympy.Rational(c.numerator, c.denominator)
+
+    def low_first(poly):
+        return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+
+    def sylvester(fc, gc):
+        m, n = len(fc) - 1, len(gc) - 1
+        size = m + n
+        rows = [[0] * i + fc[::-1] + [0] * (size - i - m - 1) for i in range(n)]
+        rows += [[0] * i + gc[::-1] + [0] * (size - i - n - 1) for i in range(m)]
+        return sympy.Matrix(size, size, [c for row in rows for c in row])
+
+    for _ in range(12):
+        hs = []
+        for _ in range(2):
+            dp, dq = rng.randint(0, 3), rng.randint(1, 3)
+            coeffs = [[rational() for _ in range(dq + 1)] for _ in range(dp + 1)]
+            hs.append(BiForm(QQ, coeffs, dp, dq))
+        # column j of a biform, as a polynomial in x = a/b
+        cols = [
+            [sum(to_sympy(row[j]) * x**i for i, row in enumerate(h.coeffs))
+             for j in range(h.deg_q + 1)]
+            for h in hs
+        ]
+        det = sympy.Poly(sympy.expand(sylvester(*cols).det(method="berkowitz")), x)
+        res = resultant_in_q(*hs)
+        want = low_first(det)
+        assert list(res.coeffs) == want + [0] * (res.formal_degree + 1 - len(want))
+
+        # form_gcd of two first-point columns sharing a planted factor
+        common = poly_from_roots(QQ, [rational()], lead=rational() or 1)
+        f, g = (common.mul(c) for c in (hs[0].p_columns()[0], hs[1].p_columns()[-1]))
+        if f.is_zero() or g.is_zero():
+            continue
+        top = min(_split_parts(f)[1], _split_parts(g)[1])
+        monic = sympy.gcd(*(sympy.Poly([to_sympy(c) for c in h.coeffs[::-1]], x) for h in (f, g)))
+        assert list(form_gcd(f, g).coeffs) == low_first(monic.monic()) + [0] * top

@@ -348,6 +348,22 @@ def test_analyze_user_model_unknown_point():
     assert code == 2 and out["error"]["kind"] == "ValidationError"
 
 
+@pytest.mark.parametrize("field", ["Fp:10007", "rational"])
+@pytest.mark.parametrize("dim_w", [5, 7])
+def test_curve_model_width_must_match_center(field, dim_w):
+    # before the check: an InternalError over F_p, and over Q a dual-path
+    # mismatch (dim_w 5) or a silently wrong ok report (dim_w 7)
+    table = [[1 if j == k else 0 for j in range(14)] for k in range(dim_w)]
+    job = quintic_345_job(
+        curve_model={"dim_w": dim_w, "genus": 0, "expansions": {"Pinf": table}},
+        clusters=[["Pinf"]],
+    )
+    job["field"] = field
+    code, out = run_job(job)
+    assert code == 2 and out["error"]["kind"] == "ValidationError"
+    assert "dim_w" in out["error"]["message"]
+
+
 def test_analyze_user_model_hypothesis_gate():
     job = _user_model_job()
     job["params"]["curve_model"]["genus"] = 1  # ell = 2, d = 5: 2*ell < d - 2g fails
