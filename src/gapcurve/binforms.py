@@ -6,34 +6,37 @@ encode roots at (1:0) of lower-degree content), which is what makes the
 Sylvester resultants below specialize correctly.
 
 Root finding over a prime field scans the p+1 points of the projective line;
-over the rationals it uses integer divisor candidates, with a cap on the
-divisor search so pathological coefficient growth surfaces as an explicit
-"indeterminate" error instead of an unbounded factorization attempt.
+over the rationals it tries the divisors of the end coefficients as candidate
+roots.  Each end coefficient gets at most ``_DIVISOR_CAP`` trial divisors, so
+a coefficient of absolute value 10^12 or more surfaces as an explicit
+"indeterminate" error instead of an unbounded factorization attempt.  The
+number of candidates, the product of the two divisor counts, is not capped.
 
-Over the rationals the elimination runs over Z.  ``resultant_in_q`` scales
-each biform into Z by the lcm of its denominators, takes every sample as an
-integer Bareiss determinant and interpolates with Newton divided differences
-that divide exactly: at integer nodes the divided difference of x^j is the
-complete homogeneous symmetric polynomial h_{j-k} of the nodes, so every
-divided difference of an integer polynomial is an integer.  ``form_gcd`` runs
-a primitive pseudo-remainder sequence over Z.  Both return exactly the forms
-that ``Fraction`` arithmetic gives, not just a scalar multiple of them, which
-matters to callers that compare successive gcds with ``==``.  Only Python
-ints are used: no floats and no fixed-width integers, so no overflow bound
-applies.
+Resultants run over Z for both fields.  ``resultant_in_q`` lifts each biform
+into Z: over Q by the lcm of its denominators, over F_p as its residues.  It
+takes every sample as an integer Bareiss determinant and interpolates with
+Newton divided differences that divide exactly: at integer nodes the divided
+difference of x^j is the complete homogeneous symmetric polynomial h_{j-k} of
+the nodes, so every divided difference of an integer polynomial is an
+integer.  The Sylvester determinant is a polynomial with integer coefficients
+in the entries, so the integer resultant of the residues, reduced mod p at the
+end, is the resultant over F_p, with no lower bound on p.  ``form_gcd`` runs a
+primitive pseudo-remainder sequence over Z on Q and Euclid in the field on
+F_p.  Both return exactly the forms that field arithmetic gives, not just a
+scalar multiple of them, which matters to callers that compare successive
+gcds with ``==``.  Only Python ints are used: no floats and no fixed-width
+integers, so no overflow bound applies.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
-from functools import partial
-from math import gcd as int_gcd, lcm
+from math import gcd as int_gcd, isqrt, lcm
 
 from .errors import GapcurveError, IndeterminateOverFieldError, ValidationError
 from .fields import PrimeField, QQ
 
-_DIVISOR_CAP = 200000
+_DIVISOR_CAP = 10**6
 
 
 class BinaryForm:
@@ -289,51 +292,14 @@ def _bareiss_det_int(mat) -> int:
     return sign * prev
 
 
-def _sylvester_rows(fc, gc, zero):
-    m = len(fc) - 1
-    n = len(gc) - 1
-    size = m + n
-    rows = []
-    frow = list(reversed(fc))  # high first
-    grow = list(reversed(gc))
-    for i in range(n):
-        rows.append([zero] * i + frow + [zero] * (size - i - m - 1))
-    for i in range(m):
-        rows.append([zero] * i + grow + [zero] * (size - i - n - 1))
-    return rows
-
-
 def _sylvester_det_int(fc, gc) -> int:
-    return _bareiss_det_int(_sylvester_rows(fc, gc, 0))
-
-
-def _sylvester_det(fc, gc, field):
-    """Determinant of the Sylvester matrix of two low-first coefficient lists
-    taken at their FORMAL degrees (trailing zeros included), by Gaussian
-    elimination over the field."""
-    m = len(fc) - 1
-    n = len(gc) - 1
-    size = m + n
-    mat = _sylvester_rows(list(fc), list(gc), field.zero)
-    det = field.one
-    for c in range(size):
-        piv = None
-        for r in range(c, size):
-            if mat[r][c]:
-                piv = r
-                break
-        if piv is None:
-            return field.zero
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            det = -det
-        det = det * mat[c][c]
-        inv = field.one / mat[c][c]
-        for r in range(c + 1, size):
-            if mat[r][c]:
-                fct = mat[r][c] * inv
-                mat[r] = [x - fct * y for x, y in zip(mat[r], mat[c])]
-    return det
+    """Resultant of two low-first integer lists taken at their FORMAL degrees
+    (trailing zeros included): the determinant of their Sylvester matrix."""
+    m, n = len(fc) - 1, len(gc) - 1
+    frow, grow = fc[::-1], gc[::-1]  # high first
+    rows = [[0] * i + frow + [0] * (n - i - 1) for i in range(n)]
+    rows += [[0] * i + grow + [0] * (m - i - 1) for i in range(m)]
+    return _bareiss_det_int(rows)
 
 
 class BiForm:
@@ -462,34 +428,25 @@ def resultant_in_q(h1: BiForm, h2: BiForm) -> BinaryForm:
 
     Returns a binary form in the first point of formal degree
     deg = h1.deg_q * h2.deg_p + h2.deg_q * h1.deg_p, fixed by its values at
-    (x : 1) for the deg + 1 small nodes x = 0, 1, -1, 2, ...  Over Q the
-    samples are taken over Z (see the module docstring) and the result is
-    divided by l1^h2.deg_q * l2^h1.deg_q, l_i the lcm of h_i's denominators.
+    (x : 1) for the deg + 1 small nodes x = 0, 1, -1, 2, ...  The samples are
+    taken over Z (see the module docstring), and the result is divided by
+    l1^h2.deg_q * l2^h1.deg_q, l_i the lift scale of h_i, in the field.
     """
-    field = h1.field
     deg = h1.deg_q * h2.deg_p + h2.deg_q * h1.deg_p
-    rational = not isinstance(field, PrimeField)
-    if rational:
-        (l1, rows1), (l2, rows2) = _integer_rows(h1), _integer_rows(h2)
-        det, divide = _sylvester_det_int, _exact_quotient
-    else:
-        if field.p <= deg + 1:
-            raise IndeterminateOverFieldError(
-                f"field F_{field.p} too small to interpolate a degree-{deg} resultant"
-            )
-        rows1, rows2 = h1.coeffs, h2.coeffs
-        det, divide = partial(_sylvester_det, field=field), operator.truediv
+    (l1, rows1), (l2, rows2) = _integer_rows(h1), _integer_rows(h2)
     xs = [t // 2 if t % 2 else -(t // 2) for t in range(1, deg + 2)]
-    coeffs = _newton(xs, [det(_at(rows1, x), _at(rows2, x)) for x in xs], divide)
-    if rational:
-        scale = l1**h2.deg_q * l2**h1.deg_q
-        coeffs = [Fraction(c, scale) for c in coeffs]
+    coeffs = _newton(xs, [_sylvester_det_int(_at(rows1, x), _at(rows2, x)) for x in xs])
+    scale = l1**h2.deg_q * l2**h1.deg_q
     # index i is the a^i b^(deg-i) coefficient
-    return BinaryForm(field, coeffs)
+    return BinaryForm(h1.field, [Fraction(c, scale) for c in coeffs])
 
 
 def _integer_rows(h: BiForm):
-    """(l, l * coefficients) for the lcm l of the denominators of a rational biform."""
+    """(l, integer rows) lifting a biform into Z: over Q, l is the lcm of the
+    denominators and the rows are l times the coefficients; over F_p, l = 1
+    and the rows are the residues."""
+    if isinstance(h.field, PrimeField):
+        return 1, [[c.value for c in row] for row in h.coeffs]
     den = lcm(*(c.denominator for row in h.coeffs for c in row))
     return den, [[c.numerator * (den // c.denominator) for c in row] for row in h.coeffs]
 
@@ -502,31 +459,25 @@ def _at(rows, x: int):
     return out
 
 
-def _exact_quotient(num: int, den: int) -> int:
-    quot, rem = divmod(num, den)
-    if rem:
-        raise GapcurveError(f"inexact Newton division {num} / {den} over Z")
-    return quot
+def _newton(xs, ys):
+    """Low-first integer coefficients of the polynomial of degree < len(xs)
+    through (xs, ys), by Newton divided differences over Z.
 
-
-def _newton(xs, ys, divide):
-    """Low-first coefficients of the polynomial of degree < len(xs) through
-    (xs, ys), by Newton divided differences; ``divide`` is the division step.
-
-    The nodes are distinct ints.  Over a field ``divide`` is ``/``.  Over Z it
-    is exact division: when ys are the values of an integer polynomial, every
-    divided difference f[x_i, ..., x_k] is an integer, because for x^j it is the
-    complete homogeneous symmetric polynomial h_{j-k} of those integer nodes;
-    a nonzero remainder therefore raises.  The result is the unique
-    interpolant, equal coefficient by coefficient to the one computed over Q.
-    No floats or fixed-width integers are involved, so there is no overflow
-    bound.
+    The nodes are distinct ints and the ys are the values of an integer
+    polynomial, so every divided difference f[x_i, ..., x_k] is an integer:
+    for x^j it is the complete homogeneous symmetric polynomial h_{j-k} of
+    those integer nodes.  Each division is therefore exact, and a nonzero
+    remainder raises.  The result is the unique interpolant, equal
+    coefficient by coefficient to the one computed over Q.
     """
     n = len(xs)
     table = list(ys)
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
-            table[i] = divide(table[i] - table[i - 1], xs[i] - xs[i - level])
+            num, den = table[i] - table[i - 1], xs[i] - xs[i - level]
+            table[i], rem = divmod(num, den)
+            if rem:
+                raise GapcurveError(f"inexact Newton division {num} / {den} over Z")
     # Horner on the Newton form: poly <- poly * (x - x_i) + table[i]
     poly = [table[-1]]
     for i in range(n - 2, -1, -1):
@@ -568,6 +519,16 @@ def projective_roots(form: BinaryForm):
     return roots, len(poly) - 1 - found
 
 
+def _multiplicity(poly, x, field) -> int:
+    """How many times (a - x b) divides the low-first polynomial ``poly``."""
+    mult = 0
+    while True:
+        poly, rem = _poly_divmod(poly, [-x, field.one], field)
+        if rem:
+            return mult
+        mult += 1
+
+
 def _roots_gfp(poly, field: PrimeField):
     import numpy as np
 
@@ -577,49 +538,31 @@ def _roots_gfp(poly, field: PrimeField):
     vals = np.zeros(p, dtype=np.int64)
     for c in cs[::-1]:
         vals = (vals * xs + int(c)) % p
-    out = []
-    for x in np.nonzero(vals == 0)[0]:
-        x = field(int(x))
-        mult = 0
-        cur = poly
-        while True:
-            quot, rem = _poly_divmod(cur, [-x, field.one], field)
-            if rem:
-                break
-            mult += 1
-            cur = quot
-        out.append((x, mult))
-    return out
+    roots = (field(int(x)) for x in np.nonzero(vals == 0)[0])
+    return [(x, _multiplicity(poly, x, field)) for x in roots]
 
 
 def _divisors(n: int):
+    """Positive divisors of n != 0 in increasing order, by trial division up
+    to sqrt|n|; more than ``_DIVISOR_CAP`` trial divisors raise."""
     n = abs(n)
     if n == 0:
         raise ValidationError("divisors of zero requested")
-    small = []
-    large = []
-    d = 1
-    while d * d <= n:
-        if len(small) > _DIVISOR_CAP:
-            raise IndeterminateOverFieldError(
-                "coefficient too large for rational root search"
-            )
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    root = isqrt(n)
+    if root > _DIVISOR_CAP:
+        raise IndeterminateOverFieldError("coefficient too large for rational root search")
+    small = [d for d in range(1, root + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _roots_rational(poly):
     """Rational roots of a Fraction-coefficient polynomial, nonzero ends."""
-    field = QQ
     ints = _primitive(poly)
     a0, an = ints[0], ints[-1]
+    dens = _divisors(an)
     candidates = set()
     for p in _divisors(a0):
-        for q in _divisors(an):
+        for q in dens:
             candidates.add(Fraction(p, q))
             candidates.add(Fraction(-p, q))
     out = []
@@ -630,13 +573,5 @@ def _roots_rational(poly):
             acc = acc * x + c
         if acc:
             continue
-        mult = 0
-        cur = [Fraction(c) for c in ints]
-        while True:
-            quot, rem = _poly_divmod(cur, [-x, field.one], field)
-            if rem:
-                break
-            mult += 1
-            cur = quot
-        out.append((x, mult))
+        out.append((x, _multiplicity([Fraction(c) for c in ints], x, QQ)))
     return out

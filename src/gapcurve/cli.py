@@ -94,8 +94,9 @@ class JobSpec:
         if not isinstance(obj, dict):
             raise ValidationError("job must be a JSON object")
         _check_keys(obj, _TOP_KEYS, "job")
-        if obj.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-            raise ValidationError(f"unsupported schema_version {obj.get('schema_version')}")
+        version = _check_int("schema_version", obj.get("schema_version", SCHEMA_VERSION))
+        if version != SCHEMA_VERSION:
+            raise ValidationError(f"unsupported schema_version {version}")
         command = obj.get("command")
         if command not in COMMANDS:
             raise ValidationError(f"command must be one of {COMMANDS}, got {command!r}")

@@ -268,7 +268,7 @@ def field_from_name(name: str):
     """Parse the CLI field syntax: ``rational`` or ``Fp:<p>``."""
     if name == "rational":
         return QQ
-    if name.startswith("Fp:"):
+    if isinstance(name, str) and name.startswith("Fp:"):
         try:
             p = int(name[3:])
         except ValueError:

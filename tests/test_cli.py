@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +135,11 @@ def test_malformed_input_shape_is_validation_error(command, params):
          "params": _sample_params(dim_center=True, type="1.1", points=[[6, 1]])},
         {"command": "enumerate-types", "out": True},
         {"command": "enumerate-types", "out": 5},
+        {"command": "enumerate-types", "schema_version": True},
+        {"command": "enumerate-types", "schema_version": 1.0},
+        {"command": "enumerate-types", "field": 5},
+        {"command": "enumerate-types", "field": None},
+        {"command": "enumerate-types", "field": ["rational"]},
     ],
 )
 def test_json_types_are_strict(job):
@@ -186,6 +192,23 @@ def test_analyze_projection_indeterminate_exit_code():
     }
     code, out = run_job(job)
     assert code == 4
+
+
+def _cusp_job(a):
+    """A rational center on the tangent line at (a : 1): the image has a cusp there."""
+    row = [5 * a**4, 4 * a**3, 3 * a**2, 2 * a, 1, 0]
+    return {"command": "analyze-projection", "field": "rational",
+            "params": {"degree": 5, "center": {"rows": [row]}}}
+
+
+def test_rational_root_search_is_bounded():
+    code, out = run_job(_cusp_job(10007))
+    assert code == 0 and out["result"]["clusters"][0]["points"] == [[10007, 1]]
+    # a double root at height 10^12 + 39 needs more trial divisors than the cap
+    start = time.monotonic()
+    code, out = run_job(_cusp_job(10**12 + 39))
+    assert code == 4 and out["error"]["kind"] == "IndeterminateOverFieldError"
+    assert time.monotonic() - start < 30
 
 
 def test_analyze_projection_conjugate_basepoints_over_fp_exit_code():
@@ -617,6 +640,27 @@ def _mutations(bases, good):
         lambda key: st.tuples(st.just(key), st.one_of(good[key], _values, st.just(_DELETE)))
     )
     return st.tuples(st.sampled_from(bases), st.lists(change, max_size=2)).map(apply)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    job=_mutations(
+        [{"command": "enumerate-types"}],
+        {
+            "field": st.sampled_from(["rational", "Fp:101", "Fp:4", "Fp:"]),
+            "schema_version": st.sampled_from([1, 2]),
+            "seed": st.integers(0, 3),
+            "truncation_cap": st.integers(3, 64),
+            "out": st.just("report.json"),
+            "command": st.sampled_from(["enumerate-types", "frobnicate"]),
+        },
+    )
+)
+def test_top_level_job_boundary(job):
+    # "out" is only read by main, so no file is written here
+    code, out = run_job(job)
+    assert code in {0, 2}, out
+    assert out["ok"] == (code == 0)
 
 
 _point_pairs = st.lists(st.lists(st.integers(0, 12), min_size=2, max_size=2), max_size=4)

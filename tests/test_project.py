@@ -324,11 +324,24 @@ def test_certify_no_extension_ramification():
     assert report.completeness["complete"] is not None
 
 
-def test_certify_flags_conjugate_pair_over_fp():
+@pytest.mark.parametrize("p, d, ell", [(97, 8, 3), (13, 5, 2)])
+def test_certify_at_a_prime_below_the_resultant_degree(p, d, ell):
+    # the secant resultants of these centers have more nodes than F_p has points
+    field = GF(p)
+    rng = random.Random(5)
+    rows = [[field(rng.randrange(p)) for _ in range(d + 1)] for _ in range(ell)]
+    c = ProjectionCenter.from_rows(field, d, rows)
+    report = analyze(c, RationalNormalCurve(field, d), certify=True)
+    assert report.completeness["complete"] is True
+
+
+@pytest.mark.parametrize("p", [10007, 31, 11])
+def test_certify_flags_conjugate_pair_over_fp(p):
     # a center through the rational midpoint of the secant joining the
     # conjugate points (+-sqrt(s) : 1), s a non-residue: the rational scan
-    # cannot see the collapsed fiber, the degree check reports it
-    p = F.p
+    # cannot see the collapsed fiber, the degree check reports it.  At p = 31
+    # and 11 the degree-60 secant resultant has more nodes than F_p has points.
+    F = GF(p)
     s = next(x for x in range(2, 50) if pow(x, (p - 1) // 2, p) == p - 1)
     d = 7
     curve = RationalNormalCurve(F, d)
@@ -342,7 +355,7 @@ def test_certify_flags_conjugate_pair_over_fp():
     assert check_center(c, curve).basepoint_free
     out = certify_no_extension_ramification(c, curve)
     assert not out["complete"]
-    assert out["secant_candidate_residual_degree"] > 0 or out["tangency_residual_degree"] > 0
+    assert out["secant_candidate_residual_degree"] == 14
     # the conjugate fiber has no rational member for the scan to report
     scanned = {q.coords() for cl in find_ramification(c, curve) for q in cl.points}
     conjugate_fiber_markers = {(F(x), F.one) for x in (s,)}  # sqrt(s) itself is irrational
