@@ -5,12 +5,10 @@ A binary form of formal degree D is stored as the coefficient tuple
 encode roots at (1:0) of lower-degree content), which is what makes the
 Sylvester resultants below specialize correctly.
 
-Root finding over a prime field scans the p+1 points of the projective line;
-over the rationals it tries the divisors of the end coefficients as candidate
-roots.  Each end coefficient gets at most ``_DIVISOR_CAP`` trial divisors, so
-a coefficient of absolute value 10^12 or more surfaces as an explicit
-"indeterminate" error instead of an unbounded factorization attempt.  The
-number of candidates, the product of the two divisor counts, is not capped.
+Root finding over a prime field scans the p+1 points of the projective line.
+Over the rationals it takes the same scan modulo a small prime and lifts each
+root p-adically until the symmetric residue determines it (Loos, SIAM J.
+Comput. 12, 1983), so no coefficient size limits it.
 
 Resultants run over Z for both fields.  ``resultant_in_q`` lifts each biform
 into Z: over Q by the lcm of its denominators, over F_p as its residues.  It
@@ -31,12 +29,13 @@ integers, so no overflow bound applies.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd, isqrt, lcm
+from itertools import count
+from math import gcd as int_gcd, lcm
 
-from .errors import GapcurveError, IndeterminateOverFieldError, ValidationError
-from .fields import PrimeField, QQ
+from .errors import GapcurveError, ValidationError
+from .fields import PrimeField, QQ, is_prime
 
-_DIVISOR_CAP = 10**6
+_LIFT_PRIME = 101  # the first prime tried; a small one keeps the F_p scan cheap
 
 
 class BinaryForm:
@@ -494,8 +493,8 @@ def projective_roots(form: BinaryForm):
     """All roots of the form over the base field, with multiplicities.
 
     Returns (roots, residual_degree): roots is a list of ((a, b), mult) with
-    b = 1 or (a, b) = (1, 0); residual_degree > 0 means roots over a proper
-    extension remain (or, over the rationals, were not found).
+    b = 1 or (a, b) = (1, 0); residual_degree is the degree left over, that
+    of the factors with no root in the base field.
     """
     field = form.field
     if form.is_zero():
@@ -542,36 +541,37 @@ def _roots_gfp(poly, field: PrimeField):
     return [(x, _multiplicity(poly, x, field)) for x in roots]
 
 
-def _divisors(n: int):
-    """Positive divisors of n != 0 in increasing order, by trial division up
-    to sqrt|n|; more than ``_DIVISOR_CAP`` trial divisors raise."""
-    n = abs(n)
-    if n == 0:
-        raise ValidationError("divisors of zero requested")
-    root = isqrt(n)
-    if root > _DIVISOR_CAP:
-        raise IndeterminateOverFieldError("coefficient too large for rational root search")
-    small = [d for d in range(1, root + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
-
-
 def _roots_rational(poly):
-    """Rational roots of a Fraction-coefficient polynomial, nonzero ends."""
-    ints = _primitive(poly)
-    a0, an = ints[0], ints[-1]
-    dens = _divisors(an)
-    candidates = set()
-    for p in _divisors(a0):
-        for q in dens:
-            candidates.add(Fraction(p, q))
-            candidates.add(Fraction(-p, q))
+    """Rational roots, with multiplicities and in increasing order, of a
+    Fraction-coefficient polynomial with nonzero ends.
+
+    p is the first prime >= ``_LIFT_PRIME`` not dividing lead(g), g the
+    primitive square-free part, at which every root r of g mod p is simple;
+    a skipped prime divides lead(g)·disc(g).  Each r is Newton-lifted to a
+    modulus m > 2|lead(g)·g(0)|.  A root u/v has v | lead(g) and u | g(0), so
+    lead(g)·u/v is the symmetric residue of lead(g)·r mod m: none is missed.
+    """
+    repeated = _primitive_prs_gcd(poly, [i * c for i, c in enumerate(poly)][1:])
+    g = _primitive(_poly_divmod(poly, repeated, QQ)[0])
+    lead, bound = g[-1], 2 * abs(g[-1] * g[0])
+    for p in filter(is_prime, count(_LIFT_PRIME, 2)):
+        if lead % p:
+            field = PrimeField(p)
+            mod_roots = _roots_gfp([field(c) for c in g], field)
+            if all(mult == 1 for _, mult in mod_roots):
+                break
     out = []
-    for x in sorted(candidates):
-        # cheap evaluation first
-        acc = Fraction(0)
-        for c in reversed(ints):
-            acc = acc * x + c
-        if acc:
-            continue
-        out.append((x, _multiplicity([Fraction(c) for c in ints], x, QQ)))
-    return out
+    for r, _ in mod_roots:
+        r, m = r.value, p
+        while m <= bound:
+            m *= m
+            value = slope = 0  # g(r) and g'(r) mod m by Horner
+            for c in reversed(g):
+                value, slope = (value * r + c) % m, (slope * r + value) % m
+            r = (r - value * pow(slope, -1, m)) % m
+        num = lead * r % m
+        x = Fraction(num - m if 2 * num > m else num, lead)
+        mult = _multiplicity(poly, x, QQ)
+        if mult:
+            out.append((x, mult))
+    return sorted(out)

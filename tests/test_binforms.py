@@ -1,10 +1,14 @@
 import random
+import time
+from collections import Counter
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapcurve import binforms
 from gapcurve.binforms import (
     BiForm,
     BinaryForm,
@@ -87,6 +91,139 @@ def test_rational_roots_with_fractions():
     roots, residual = projective_roots(f)
     assert residual == 0
     assert sorted(a for (a, _), _ in roots) == [Fraction(-3), Fraction(1, 2)]
+
+
+# ---------------------------------------------------------------------------
+# rational roots: F_p roots lifted p-adically, against trial division
+
+
+def _divisors(n):
+    """Positive divisors of n != 0 in increasing order, by trial division."""
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _synthetic_division(cs, x):
+    """(quotient, remainder) of a low-first list by (a - x), by Horner."""
+    acc, out = 0, []
+    for c in reversed(cs):
+        acc = acc * x + c
+        out.append(acc)
+    rem = out.pop()
+    return out[::-1], rem
+
+
+def trial_division_roots(poly):
+    """Oracle for the rational roots of a polynomial with nonzero ends: try
+    every +-u/v with u | poly(0) and v | lead, and count each root's
+    multiplicity by repeated synthetic division."""
+    den = lcm(*(Fraction(c).denominator for c in poly))
+    ints = [int(c * den) for c in poly]
+    content = gcd(*ints)
+    ints = [c // content for c in ints]
+    dens = _divisors(ints[-1])
+    candidates = {Fraction(s * u, v) for u in _divisors(ints[0]) for v in dens for s in (1, -1)}
+    out = []
+    for x in sorted(candidates):
+        mult, cs = 0, [Fraction(c) for c in ints]
+        while True:
+            quot, rem = _synthetic_division(cs, x)
+            if rem:
+                break
+            mult, cs = mult + 1, quot
+        if mult:
+            out.append((x, mult))
+    return out
+
+
+# a^2 - 2b^2, a^2 + b^2, 3a^2 - 5ab + 7b^2, a^2 + ab - b^2: no rational roots
+IRREDUCIBLE_QUADRATICS = ([-2, 0, 1], [1, 0, 1], [7, -5, 3], [-1, 1, 1])
+
+
+@st.composite
+def planted_forms(draw, height, max_factors, max_repeats, finite=False):
+    """(form, {(a, b): multiplicity}): a rational multiple of planted linear
+    factors (v a - u b) with |u|, v <= height, one of them repeated up to
+    ``max_repeats`` more times, times an irreducible quadratic.  Unless
+    ``finite``, the roots may be (0 : 1) and (1 : 0)."""
+    low = 1 if finite else 0
+    root = st.tuples(st.integers(-height, height), st.integers(low, height)).filter(
+        lambda uv: uv[0] or (uv[1] and not finite)
+    )
+    factors = draw(st.lists(root, min_size=1, max_size=max_factors))
+    factors += [draw(st.sampled_from(factors))] * draw(st.integers(0, max_repeats))
+    scale = Fraction(draw(st.integers(-60, 60).filter(bool)), draw(st.integers(1, 60)))
+    form = BinaryForm(QQ, draw(st.sampled_from(IRREDUCIBLE_QUADRATICS))).scale(scale)
+    planted = Counter()
+    for u, v in factors:
+        form = form.mul(BinaryForm(QQ, [-u, v]))
+        planted[(Fraction(u, v), Fraction(1)) if v else (Fraction(1), Fraction(0))] += 1
+    return form, dict(planted)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(planted=planted_forms(10**3, 2, 1, finite=True))
+def test_rational_roots_match_trial_division(planted):
+    form, roots = planted
+    want = trial_division_roots(form.coeffs)
+    assert binforms._roots_rational(list(form.coeffs)) == want
+    assert dict(((x, Fraction(1)), m) for x, m in want) == roots
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(planted=planted_forms(10**15, 4, 2))
+def test_rational_roots_recover_planted_factors_at_height(planted):
+    form, roots = planted
+    found, residual = projective_roots(form)
+    assert dict(found) == roots and residual == 2
+    assert len(found) == len(roots)
+
+
+def test_rational_roots_skip_unlucky_primes(monkeypatch):
+    p = binforms._LIFT_PRIME
+    primes, real = [], binforms._roots_gfp
+
+    def spy(poly, field):
+        primes.append(field.p)
+        return real(poly, field)
+
+    monkeypatch.setattr(binforms, "_roots_gfp", spy)
+    quadratic = BinaryForm(QQ, IRREDUCIBLE_QUADRATICS[0])
+    cases = [
+        # two roots congruent mod p: p is skipped for the next prime
+        ([1, 1, 1 + p, -3], lambda used: used[0] == p and used[-1] > p),
+        # p | lead(g): never scanned mod p
+        ([Fraction(2, p), Fraction(2, p), Fraction(-1, p * p), 5], lambda used: p not in used),
+        # a root = 0 mod p, simple there: p is kept
+        ([p, p, 2, Fraction(-5, 3)], lambda used: used == [p]),
+    ]
+    for roots, check in cases:
+        primes.clear()
+        form = poly_from_roots(QQ, roots).mul(quadratic)
+        found, residual = projective_roots(form)
+        assert residual == 2
+        assert found == [((Fraction(x), 1), m) for x, m in sorted(Counter(roots).items())]
+        assert check(primes), primes
+
+
+def test_rational_roots_at_the_lift_bound():
+    # a monic linear form a - u b needs a modulus m > 2|u|: |u| on either
+    # side of half of p, p^2 and p^4 stops the lift just before or after
+    p = binforms._LIFT_PRIME
+    for m in (p, p**2, p**4):
+        for u in (m // 2, m // 2 + 1, m - 1, m + 1):
+            for root in (u, -u):
+                assert projective_roots(BinaryForm(QQ, [-root, 1])) == ([((root, 1), 1)], 0)
+
+
+def test_rational_roots_with_highly_composite_ends():
+    # 963761198400 has 6,720 divisors: ~9e7 trial-division candidates
+    n = 963761198400
+    start = time.monotonic()
+    roots, residual = projective_roots(BinaryForm(QQ, [n, 1, 1, n]))
+    assert time.monotonic() - start < 1
+    assert roots == [((-1, 1), 1)] and residual == 2
 
 
 def test_form_gcd():
@@ -411,3 +548,21 @@ def test_resultant_and_gcd_match_sympy():
         top = min(_split_parts(f)[1], _split_parts(g)[1])
         monic = sympy.gcd(*(sympy.Poly([to_sympy(c) for c in h.coeffs[::-1]], x) for h in (f, g)))
         assert list(form_gcd(f, g).coeffs) == low_first(monic.monic()) + [0] * top
+
+
+def test_rational_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20261019)
+    for _ in range(20):
+        cofactor = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, 5))]
+        cofactor.append(rng.randint(1, 99))
+        planted = [Fraction(rng.randint(-10**8, 10**8), rng.randint(1, 10**4))
+                   for _ in range(rng.randint(0, 3))]
+        form = poly_from_roots(QQ, planted + planted[:1]).mul(BinaryForm(QQ, cofactor))
+        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in form.coeffs[::-1]], x)
+        want = {Fraction(int(r.p), int(r.q)): m for r, m in poly.ground_roots().items()}
+        found, residual = projective_roots(form)
+        got = {a: m for (a, b), m in found}  # the top coefficient is nonzero: b = 1
+        assert got == want and residual == poly.degree() - sum(want.values())

@@ -201,13 +201,17 @@ def _cusp_job(a):
             "params": {"degree": 5, "center": {"rows": [row]}}}
 
 
-def test_rational_root_search_is_bounded():
+def test_rational_root_search_has_no_size_cap():
     code, out = run_job(_cusp_job(10007))
     assert code == 0 and out["result"]["clusters"][0]["points"] == [[10007, 1]]
-    # a double root at height 10^12 + 39 needs more trial divisors than the cap
+    # a double root at height 10^12 + 39: its candidate forms have coefficients
+    # far above 10^12, and the p-adic lift still finds it
     start = time.monotonic()
     code, out = run_job(_cusp_job(10**12 + 39))
-    assert code == 4 and out["error"]["kind"] == "IndeterminateOverFieldError"
+    assert code == 0
+    [cluster] = out["result"]["clusters"]
+    assert cluster["points"] == [[1000000000039, 1]]
+    assert cluster["type"] == "1.1" and cluster["delta"] == 1
     assert time.monotonic() - start < 30
 
 

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from gapcurve import linalg
+from gapcurve.classify import enumerate_types
 from gapcurve.curve import ExpansionCurveModel, Multifiltration, RationalNormalCurve
 from gapcurve.errors import (
     GapcurveError,
@@ -697,3 +698,74 @@ def test_int64_cluster_builder_matches_boxed_series():
                 for m in center.m_basis()
             ]
             assert linalg.gfp_elements(got, field) == want
+
+
+# ---------------------------------------------------------------------------
+# PGL_2 metamorphic oracle: a change of coordinates on the line moves the
+# clusters and nothing else, whatever route found them
+
+
+def sym_matrix(g, d, field):
+    """S = Sym^d(g), so that nu(g P) = S nu(P) for nu(a : b) = (a^(d-k) b^k)_k
+    and g = ((al, be), (ga, de)) acting by (a : b) -> (al a + be b : ga a + de b)."""
+    (al, be), (ga, de) = g
+    rows = []
+    for k in range(d + 1):
+        row = [field.one]  # row[j] multiplies a^(deg - j) b^j
+        for x, y in [(al, be)] * (d - k) + [(ga, de)] * k:
+            row = [x * c + y * c_prev for c, c_prev in zip(row + [field.zero], [field.zero] + row)]
+        rows.append(row)
+    return rows
+
+
+def _outcome(center, curve, move=lambda q: q):
+    """The clusters as a set of (points with tangent flags, label, delta), or
+    the kind of error the analysis raised."""
+    try:
+        report = analyze(center, curve)
+    except GapcurveError as exc:
+        return type(exc).__name__
+    return {
+        (frozenset((move(q).coords(), t) for q, t in zip(cl.points, cl.tangent)),
+         cl.type_label, cl.delta)
+        for cl in report.clusters
+    }
+
+
+@pytest.mark.parametrize(
+    "field, d, ell, entry",
+    [(GF(101), 8, 3, 100), (F, 8, 3, F.p - 1), (QQ, 5, 2, 2000)],
+    ids=["GF(101)", "GF(10007)", "QQ"],
+)
+def test_analysis_commutes_with_pgl2(field, d, ell, entry):
+    """For each type, the center S L, S = Sym^d(g), has the clusters g(P) of
+    the sampled L's clusters P, with the same labels, delta and tangent flags.
+    Every third g sends a planted point to (1 : 0), and every third sample
+    plants one there.  Over QQ the entries of g reach 2000, so the moved
+    points have real height."""
+    rng = random.Random(5)
+    curve = RationalNormalCurve(field, d)
+    low, high = (-50, 50) if field is QQ else (0, field.p - 1)
+    for trial, stype in enumerate(t for t in enumerate_types() if d == 8 or t.delta <= 2):
+        points = [curve.point(1, 0)] if trial % 3 == 2 else []
+        while len(points) < stype.branches:
+            cand = curve.point(rng.randint(low, high), 1)
+            if cand not in points:
+                points.append(cand)
+        spec = stratum_spec(stype, points, curve, ell)
+        center = sample_center(spec, rng.randrange(10**6), curve)
+        al, be, ga, de = (field(rng.randint(-entry, entry)) for _ in range(4))
+        if trial % 3 == 1:
+            ga, de = field.one, -points[0].a  # g sends the first planted point to (1 : 0)
+        if not al * de - be * ga:
+            continue
+        sym = sym_matrix(((al, be), (ga, de)), d, field)
+        moved = ProjectionCenter.from_rows(
+            field, d, [[sum((c * x for c, x in zip(srow, row)), field.zero) for srow in sym]
+                       for row in center.rows]
+        )
+
+        def move(q):
+            return curve.point(al * q.a + be * q.b, ga * q.a + de * q.b)
+
+        assert _outcome(moved, curve) == _outcome(center, curve, move), stype.label

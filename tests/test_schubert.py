@@ -121,6 +121,24 @@ def test_sample_and_analyze_representative_types():
         assert hits, f"no clean sample for {label} at (d, n) = ({d}, {n})"
 
 
+def test_q_round_trip_at_real_heights():
+    # over Q, planted points (a : 1) with |a| <= 10^5 give elimination forms
+    # with coefficients far past 10^12, where a divisor search cannot go
+    rng = random.Random(3)
+    curve = RationalNormalCurve(QQ, 5)
+    for stype in (t for t in enumerate_types() if t.delta <= 2):
+        pts = []
+        while len(pts) < stype.branches:
+            cand = curve.point(rng.randint(-10**5, 10**5), 1)
+            if cand not in pts:
+                pts.append(cand)
+        spec = stratum_spec(stype, pts, curve, 2)
+        report = analyze(sample_center(spec, rng.randrange(10**9), curve), curve)
+        got = {q.coords() for cl in report.clusters for q in cl.points}
+        assert got == {q.coords() for q in pts}, stype.label
+        assert [cl.type_label for cl in report.clusters] == [stype.label]
+
+
 def test_sampled_center_meets_flag_exactly():
     spec, curve = spec_for("2.1.a", 8, 5, seed=3)
     center = sample_center(spec, 11, curve)
