@@ -194,22 +194,11 @@ def _dual_to_form(coeffs, degree, field) -> binforms.BinaryForm:
 # ---------------------------------------------------------------------------
 # ramification over a prime field: exhaustive scan
 
-
-def _vandermonde_rows(p: int, d: int):
-    """nu and nu' rows for all p+1 points, int64."""
-    a = np.arange(p, dtype=np.int64)
-    powers = np.ones((d + 1, p), dtype=np.int64)
-    for e in range(1, d + 1):
-        powers[e] = powers[e - 1] * a % p
-    nu = np.zeros((p + 1, d + 1), dtype=np.int64)
-    nu_t = np.zeros((p + 1, d + 1), dtype=np.int64)
-    for k in range(d + 1):
-        nu[:p, k] = powers[d - k]
-        if d - k - 1 >= 0:
-            nu_t[:p, k] = (d - k) * powers[d - k - 1] % p
-    nu[p, 0] = 1  # the point (1:0)
-    nu_t[p, 1] = 1
-    return nu, nu_t
+# Fibers are found by sorting one fingerprint per image: two Horner hashes
+# mod 2^31 - 1 with fixed bases, packed into one int64.  Every step keeps
+# h * base + x below 2^62 + 2^31, as h, base and the residue x are below 2^31.
+_FINGERPRINT_MOD = (1 << 31) - 1
+_FINGERPRINT_BASES = (1_000_003, 2_147_480_009)
 
 
 def _point_from_index(curve, idx: int) -> CurvePoint:
@@ -220,42 +209,73 @@ def _point_from_index(curve, idx: int) -> CurvePoint:
 
 
 def _ramification_scan_gfp(center: ProjectionCenter, curve):
-    p = center.field.p
-    nu, nu_t = _vandermonde_rows(p, center.degree)
-    m = linalg.gfp_matrix(center.m_basis(), center.degree + 1)
-    phi = nu @ m.T % p
+    """Clusters over F_p from the images of all p + 1 points in M* = V/L.
 
-    # fibers: group points by normalized image
+    Column i of phi is (f(P_i))_f over the basis of M = L-perp: the image of
+    nu(P_i) in V/L, nonzero away from basepoints.  P_i = (i : 1) for i < p and
+    P_p = (1 : 0).  phi' is the image of the tangent vector nu' (the
+    a-derivative, or the b-derivative at (1 : 0)).  The tangent line at P meets
+    P(L) exactly when nu'(P) lies in L + <nu(P)>, that is when phi'(P) is
+    parallel to phi(P), which a 2x2 minor against phi's first nonzero entry
+    decides.  A fiber is a set of points whose normalized images agree; equal
+    fingerprints are only candidates, grouped exactly by bytes, so a
+    collision never merges two images.
+
+    Every entry of phi is a sum of d + 1 products of residues, so int64 is
+    exact only while (d + 1)(p - 1)^2 < 2^63.  That is checked before any
+    array is allocated.
+    """
+    p, d = center.field.p, center.degree
+    if (d + 1) * (p - 1) ** 2 >= 1 << 63:
+        raise ValidationError(
+            f"the F_p scan needs (d + 1)(p - 1)^2 < 2^63 for exact int64 images, and "
+            f"d = {d}, p = {p} exceed it; name the clusters with 'clusters' instead"
+        )
+    m = linalg.gfp_matrix(center.m_basis(), d + 1)
+    rev = m[:, ::-1]  # f(a : 1) = sum_e rev[:, e] a^e
+    a = np.arange(p, dtype=np.int64)
+    powers = np.ones((d + 1, p), dtype=np.int64)
+    for e in range(1, d + 1):
+        powers[e] = powers[e - 1] * a % p
+    deriv = rev[:, 1:] * np.arange(1, d + 1) % p  # df/da = sum_e deriv[:, e] a^e
+    phi = np.column_stack((rev @ powers % p, m[:, 0]))
+    dphi = np.column_stack((deriv @ powers[:d] % p, m[:, 1]))
+
     idx = np.arange(p + 1)
-    lead_vals = phi[idx, np.argmax(phi != 0, axis=1)]
-    if np.any(lead_vals == 0):
+    col = np.argmax(phi != 0, axis=0)
+    lead = phi[col, idx]
+    if not lead.all():
         raise ValidationError("basepoint present; run check_center first")
-    inv = linalg.batch_inverse(lead_vals, p)
-    norm = phi * inv[:, None] % p
-    fibers: dict[bytes, list[int]] = {}
-    for i in range(norm.shape[0]):
-        fibers.setdefault(norm[i].tobytes(), []).append(i)
+    tangent = ~np.any((dphi * lead - phi * dphi[col, idx]) % p, axis=0)
+    norm = phi * linalg.batch_inverse(lead, p) % p
 
-    # tangency: rank([L; nu; nu']) <= ell + 1, i.e. nu' is proportional to nu
-    # mod L; nu mod L is nonzero away from basepoints, so comparing against its
-    # first nonzero column is exact
-    lrows = linalg.gfp_matrix(center.rows, center.degree + 1)
-    piv = np.array(center.pivots, dtype=np.int64)
-    nu_r = (nu - nu[:, piv] @ lrows) % p
-    nut_r = (nu_t - nu_t[:, piv] @ lrows) % p
-    col = np.argmax(nu_r != 0, axis=1)
-    minors = (nut_r * nu_r[idx, col, None] - nu_r * nut_r[idx, col, None]) % p
-    tangent_mask = ~np.any(minors, axis=1)
-
-    clusters = []
-    for members in fibers.values():  # ascending index is CurvePoint.sort_key order
-        if len(members) < 2 and not tangent_mask[members[0]]:
-            continue
-        pts = [_point_from_index(curve, i) for i in members]
-        tangs = [bool(tangent_mask[i]) for i in members]
-        clusters.append(RamificationCluster(pts, tangs))
-    clusters.sort(key=lambda c: c.points[0].sort_key())
-    return clusters
+    keys = np.zeros((2, p + 1), dtype=np.int64)
+    bases = np.array(_FINGERPRINT_BASES, dtype=np.int64)[:, None]
+    for row in norm:
+        keys = (keys * bases + row) % _FINGERPRINT_MOD
+    key = keys[0] << 31 | keys[1]
+    order = np.argsort(key)
+    sorted_keys = key[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    ends = np.r_[starts[1:], p + 1]
+    runs = ends - starts > 1
+    groups = []
+    for s, e in zip(starts[runs], ends[runs]):
+        members = np.sort(order[s:e])  # ascending index is CurvePoint.sort_key order
+        fibers: dict[bytes, list[int]] = {}
+        for i, image in zip(members.tolist(), norm.T[members]):
+            fibers.setdefault(image.tobytes(), []).append(i)
+        groups += [g for g in fibers.values() if len(g) > 1]
+    in_fiber = np.zeros(p + 1, dtype=bool)
+    for g in groups:
+        in_fiber[g] = True
+    groups += [[i] for i in np.flatnonzero(tangent & ~in_fiber).tolist()]
+    return [
+        RamificationCluster(
+            [_point_from_index(curve, i) for i in g], [bool(tangent[i]) for i in g]
+        )
+        for g in sorted(groups)
+    ]
 
 
 def _normalized_image(center: ProjectionCenter, curve, point: CurvePoint):

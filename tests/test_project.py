@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gapcurve import linalg
+from gapcurve import linalg, project
 from gapcurve.classify import enumerate_types
 from gapcurve.curve import ExpansionCurveModel, Multifiltration, RationalNormalCurve
 from gapcurve.errors import (
@@ -216,6 +221,96 @@ def test_scan_matches_naive_oracle_small_field():
             ]
         tried += 1
     assert tried == 4
+
+
+def _vandermonde_scan(center, curve):
+    """The F_p scan in the coordinates of V, kept as the oracle: nu and nu'
+    rows for all p + 1 points, fibers from a bytes dict over every normalized image,
+    tangency from 2x2 minors of nu and nu' reduced mod L through its pivots.
+    Returns (points, tangent flags) per cluster, sorted along the curve."""
+    d, p = center.degree, center.field.p
+    a = np.arange(p, dtype=np.int64)
+    powers = np.ones((d + 1, p), dtype=np.int64)
+    for e in range(1, d + 1):
+        powers[e] = powers[e - 1] * a % p
+    nu = np.zeros((p + 1, d + 1), dtype=np.int64)
+    nu_t = np.zeros((p + 1, d + 1), dtype=np.int64)
+    for k in range(d + 1):
+        nu[:p, k] = powers[d - k]
+        if d - k - 1 >= 0:
+            nu_t[:p, k] = (d - k) * powers[d - k - 1] % p
+    nu[p, 0] = 1  # the point (1:0)
+    nu_t[p, 1] = 1
+    phi = nu @ linalg.gfp_matrix(center.m_basis(), d + 1).T % p
+    idx = np.arange(p + 1)
+    lead = phi[idx, np.argmax(phi != 0, axis=1)]
+    assert lead.all()
+    norm = phi * linalg.batch_inverse(lead, p)[:, None] % p
+    fibers = {}
+    for i in range(p + 1):
+        fibers.setdefault(norm[i].tobytes(), []).append(i)
+    lrows = linalg.gfp_matrix(center.rows, d + 1)
+    piv = np.array(center.pivots, dtype=np.int64)
+    nu_r = (nu - nu[:, piv] @ lrows) % p
+    nut_r = (nu_t - nu_t[:, piv] @ lrows) % p
+    col = np.argmax(nu_r != 0, axis=1)
+    minors = (nut_r * nu_r[idx, col, None] - nu_r * nut_r[idx, col, None]) % p
+    tangent = ~np.any(minors, axis=1)
+    clusters = [
+        ([curve.point(1, 0) if i == p else curve.point(i, 1) for i in members],
+         [bool(tangent[i]) for i in members])
+        for members in fibers.values()
+        if len(members) > 1 or tangent[members[0]]
+    ]
+    return sorted(clusters, key=lambda c: c[0][0].sort_key())
+
+
+def _scan_lists(clusters):
+    return [(cl.points, cl.tangent) for cl in clusters]
+
+
+def _stratum_samples(field, d, ell, rng):
+    """One seeded stratum sample per type feasible at (d, ell), with the
+    planted points; at ell = 2 a second sample per type, so that the planted
+    points include (1 : 0), (0 : 1) and a fiber holding both."""
+    curve = RationalNormalCurve(field, d)
+    for stype in (t for t in enumerate_types() if t.delta <= ell):
+        firsts = [[(1, 0), (0, 1)], [(0, 1)]] if ell == 2 else [[]]
+        for first in firsts:
+            points = [curve.point(*c) for c in first][: stype.branches]
+            while len(points) < stype.branches:
+                cand = curve.point(rng.randrange(1, field.p), 1)
+                if cand not in points:
+                    points.append(cand)
+            spec = stratum_spec(stype, points, curve, ell)
+            yield sample_center(spec, rng.randrange(10**6), curve), curve, points
+
+
+@pytest.mark.parametrize("field", [GF(101), F], ids=["GF(101)", "GF(10007)"])
+def test_scan_matches_vandermonde_oracle(field):
+    """The image-space scan returns the old scan's clusters exactly: points,
+    order and tangent flags, on stratum samples (random centers almost never
+    have clusters)."""
+    rng = random.Random(18)
+    tried = 0
+    for d, ell in [(8, 3), (5, 2)]:
+        for center, curve, points in _stratum_samples(field, d, ell, rng):
+            got = _scan_lists(find_ramification(center, curve))
+            assert got == _vandermonde_scan(center, curve)
+            assert {q for pts, _ in got for q in pts} >= set(points)
+            tried += 1
+    assert tried == 21 + 14
+
+
+def test_fingerprint_collisions_never_merge_images(monkeypatch):
+    """With the fingerprint modulus 1 every image collides, and the exact
+    grouping inside the one run still returns the same clusters."""
+    field = GF(1009)
+    samples = list(_stratum_samples(field, 8, 3, random.Random(7)))
+    before = [_scan_lists(find_ramification(c, curve)) for c, curve, _ in samples]
+    assert all(before) and len(before) == 21
+    monkeypatch.setattr(project, "_FINGERPRINT_MOD", 1)
+    assert [_scan_lists(find_ramification(c, curve)) for c, curve, _ in samples] == before
 
 
 def test_analyze_quintic_345_cusp():
@@ -654,7 +749,8 @@ def test_dual_path_mismatch_raises(monkeypatch):
 
 
 def test_analyze_clusters_at_largest_prime():
-    """Over F_(2^31 - 1) the scan is out of reach, so the clusters are named.
+    """Over F_(2^31 - 1) the scan refuses to run, as (d + 1)(p - 1)^2 >= 2^63
+    breaks its int64 bound, so the clusters are named.
 
     The whole cluster pipeline, dual-path check included, runs at the largest
     allowed prime.  A row-reduced M has at most ell + 1 nonzero entries per
@@ -673,6 +769,36 @@ def test_analyze_clusters_at_largest_prime():
         report = analyze(center, curve, clusters=[points])
         assert [cl.type_label for cl in report.clusters] == [label]
         assert report.completeness["complete"] is None
+
+
+_SCAN_BOUND_PROBE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from gapcurve import GF, ProjectionCenter, RationalNormalCurve, ValidationError, analyze
+d, n, field = int(sys.argv[1]), int(sys.argv[2]), GF(2**31 - 1)
+system = [[int(j == k) for j in range(d + 1)] for k in [0] + list(range(d - n + 1, d + 1))]
+try:
+    analyze(ProjectionCenter.from_linear_system(field, d, system), RationalNormalCurve(field, d))
+except ValidationError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("d, n", [(5, 3), (8, 5)])
+def test_scan_refuses_fields_past_its_int64_bound(d, n):
+    """At p = 2^31 - 1, (d + 1)(p - 1)^2 >= 2^63, so the scan of a
+    sharp-family center raises a ValidationError before it allocates an
+    array.  The probe runs under a 2 GB address-space limit, so a check
+    placed too late fails fast."""
+    src = Path(project.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", _SCAN_BOUND_PROBE, str(d), str(n)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "(d + 1)(p - 1)^2 < 2^63" in out.stdout
+    assert "clusters" in out.stdout
 
 
 def test_int64_cluster_builder_matches_boxed_series():
