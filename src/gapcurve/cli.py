@@ -193,13 +193,10 @@ def _parse_series_vectors(field, params):
 
 def _cmd_classify_series(job: JobSpec):
     amb, vectors = _parse_series_vectors(job.field, job.params)
-    space = SeriesSubspace.span(amb, vectors)
-
-    def builder(n):
-        # the input is already at fixed precision; escalation past it is capped
-        return amb, space._rows
-
-    closed, gap, delta = close_and_stabilize(builder, amb.truncation, cap=amb.truncation)
+    # the input is already at fixed precision; escalation past it is capped
+    space, closed, gap, delta = close_and_stabilize(
+        lambda n: (amb, vectors), amb.truncation, cap=amb.truncation
+    )
     stype = classify_ring(gap)
     vs_label = None
     try:

@@ -217,8 +217,9 @@ def close_and_stabilize(builder, start_truncation: int, cap: int = TRUNCATION_CA
 
     ``builder(N)`` must return (ambient, vectors) regenerated at precision N;
     over F_p the vectors may be one int64 residue array of flat rows.
-    Doubles N on stabilization failures, up to ``cap``.  Returns
-    (closed subspace, gap function, delta).
+    Doubles N on stabilization failures, up to ``cap``.  Returns (span, closed
+    subspace, gap function, delta); span is the vectors' span at the final N, so
+    a caller never builds or spans them again.
     """
     n = max(2, start_truncation)
     corner_trace = []
@@ -228,7 +229,7 @@ def close_and_stabilize(builder, start_truncation: int, cap: int = TRUNCATION_CA
         closed = close_algebra(space)
         gap = GapFunction(closed, ALGEBRA_CLOSED)
         try:
-            return closed, gap, gap.degree()
+            return space, closed, gap, gap.degree()
         except NotStabilizedError:
             corner_trace.append(gap((n - 1,) * ambient.branches))
             if 2 * n > cap:

@@ -51,7 +51,7 @@ from .errors import (
 )
 from .fields import PrimeField
 from .gaps import TRUNCATION_CAP, VECTOR_SPACE, GapFunction, close_and_stabilize
-from .series import Ambient, SeriesSubspace, TruncatedSeries, _gfp_inverse, _gfp_products
+from .series import Ambient, TruncatedSeries, _gfp_inverse, _gfp_products
 
 
 class ProjectionCenter:
@@ -278,15 +278,6 @@ def _ramification_scan_gfp(center: ProjectionCenter, curve):
     ]
 
 
-def _normalized_image(center: ProjectionCenter, curve, point: CurvePoint):
-    vals = [curve.section_value(row, point) for row in center.m_basis()]
-    lead = next((v for v in vals if v), None)
-    if lead is None:
-        raise ValidationError(f"{point} is a basepoint")
-    inv = center.field.one / lead
-    return tuple(v * inv for v in vals)
-
-
 # ---------------------------------------------------------------------------
 # ramification over the rationals: symbolic elimination
 
@@ -381,13 +372,21 @@ def _candidate_roots(center: ProjectionCenter):
             yield "secant", *binforms.projective_roots(cform)
 
 
-def _partner_form(center: ProjectionCenter, curve, point: CurvePoint):
-    """Form cutting out the partners of a point: roots of gcd{f in M : f(P)=0}."""
+def _point_image(center: ProjectionCenter, curve, point):
+    """phi(P) = (f(P))_f over the basis of M: the image of P in M* = V/L."""
+    image = [e[0] for e in _expansions(curve, center.m_basis(), point, 1)]
+    if not any(image):
+        raise ValidationError(f"{point} is a basepoint")
+    return image
+
+
+def _partner_form(center: ProjectionCenter, image):
+    """gcd{f in M : f(P) = 0} for image = phi(P).  Its roots are P's fiber, and a root
+    Q is multiple exactly when phi'(Q) is parallel to phi(Q): Q is a tangent point."""
     field = center.field
     m_rows = center.m_basis()
-    vals = [curve.section_value(row, point) for row in m_rows]
     forms = []
-    for combo in linalg.nullspace([vals], field, len(m_rows)):
+    for combo in linalg.nullspace([image], field, len(m_rows)):
         row = linalg.combine(combo, m_rows, field, center.degree + 1)
         forms.append(_dual_to_form(row, center.degree, field))
     return binforms.gcd_many(forms)
@@ -404,41 +403,29 @@ _IRRATIONAL_CANDIDATES = {
 
 def _ramification_symbolic_q(center: ProjectionCenter, curve):
     field = center.field
-    candidates: dict[tuple, CurvePoint] = {}
+    candidates = []
     for kind, roots, residual in _candidate_roots(center):
         if residual:
             raise IrrationalRamificationError(_IRRATIONAL_CANDIDATES[kind])
-        for (a, b), _ in roots:
-            pt = CurvePoint(field, a, b)
-            candidates[(pt.a, pt.b)] = pt
+        candidates += [CurvePoint(field, a, b) for (a, b), _ in roots]
 
-    # resolve each candidate's fiber exactly; drop non-ramified candidates
-    confirmed: dict[tuple, CurvePoint] = {}
-    for pt in list(candidates.values()):
-        g = _partner_form(center, curve, pt)
-        roots, residual = binforms.projective_roots(g)
+    # each unplaced candidate's partner form gives its whole fiber, with tangency
+    placed = set()
+    clusters = []
+    for pt in candidates:
+        if pt in placed:
+            continue
+        image = _point_image(center, curve, pt)
+        roots, residual = binforms.projective_roots(_partner_form(center, image))
         if residual:
             raise IrrationalRamificationError(
                 f"fiber through {pt} contains points over an extension field"
             )
-        fiber = [CurvePoint(field, a, b) for (a, b), mult in roots]
-        own_mult = next(m for (a, b), m in roots if CurvePoint(field, a, b) == pt)
-        if len(fiber) >= 2 or own_mult >= 2:
-            for q in fiber:
-                confirmed[(q.a, q.b)] = q
-
-    # group by exact image
-    fibers: dict[tuple, list[CurvePoint]] = {}
-    for pt in confirmed.values():
-        fibers.setdefault(_normalized_image(center, curve, pt), []).append(pt)
-
-    clusters = []
-    for pts in fibers.values():
-        pts = sorted(pts, key=lambda q: q.sort_key())
-        tangs = _tangent_flags(_flag_dims(center, curve, pts, 2), len(pts))
-        if len(pts) < 2 and not any(tangs):
-            continue
-        clusters.append(RamificationCluster(pts, tangs))
+        mult = {CurvePoint(field, a, b): m for (a, b), m in roots}
+        fiber = sorted(mult, key=CurvePoint.sort_key)
+        placed.update(fiber)
+        if len(fiber) >= 2 or mult[pt] >= 2:
+            clusters.append(RamificationCluster(fiber, [mult[q] >= 2 for q in fiber]))
     clusters.sort(key=lambda c: c.points[0].sort_key())
     return clusters
 
@@ -479,21 +466,20 @@ def certify_no_extension_ramification(center: ProjectionCenter, curve) -> dict:
 # cluster analysis
 
 
-def _choose_section(center: ProjectionCenter, curve, points, rng=None):
-    """An element of M nonvanishing at every cluster point."""
+def _choose_section(center: ProjectionCenter, images, rng=None):
+    """An element of M nonvanishing at every cluster point, given their images phi(P)."""
     field = center.field
     m_rows = center.m_basis()
-    for row in m_rows:
-        if all(curve.section_value(row, p) for p in points):
+    for i, row in enumerate(m_rows):
+        if all(image[i] for image in images):
             return list(row)
     import random as _random
 
     rng = rng or _random.Random(20260808)
     for _ in range(64):
         combo = [field.random_element(rng) for _ in m_rows]
-        row = linalg.combine(combo, m_rows, field, center.degree + 1)
-        if all(curve.section_value(row, p) for p in points):
-            return row
+        if all(sum((c * v for c, v in zip(combo, image)), field.zero) for image in images):
+            return linalg.combine(combo, m_rows, field, center.degree + 1)
     raise GapcurveError("could not find a section of M nonvanishing on the cluster")
 
 
@@ -527,11 +513,21 @@ def _cluster_series_builder(center, curve, points, s_coeffs):
 
 
 def _validate_cluster(center, curve, points):
+    """phi(P) for distinct, non-base points with one image point.  A user table needs
+    full jet rank: no nonzero section of a degree-d model vanishes to order d + 1."""
     if len(points) != len(set(_point_key(p) for p in points)):
         raise ValidationError("cluster points must be distinct")
-    images = {_normalized_image(center, curve, p) for p in points}  # raises at a basepoint
-    if len(images) > 1:
+    if isinstance(curve, ExpansionCurveModel):
+        for p in points:
+            if linalg.rank(curve.osc_rows(p, curve.degree + 1), curve.field) < curve.dim_w:
+                raise ValidationError(
+                    f"the expansion table at {p!r} has jet rank below dim_w in its first "
+                    f"d + 1 terms: no nonzero section of a degree-d model vanishes to order d + 1"
+                )
+    images = [_point_image(center, curve, p) for p in points]
+    if linalg.rank(images, center.field) > 1:
         raise ValidationError("cluster points do not share an image point (secant property fails)")
+    return images
 
 
 def analyze_at_points(
@@ -558,16 +554,13 @@ def analyze_at_points(
     bound = center.degree + 1 - 2 * curve.genus
     for raw_points in clusters:
         points = list(raw_points)
-        _validate_cluster(center, curve, points)
-        s_coeffs = _choose_section(center, curve, points, rng)
+        images = _validate_cluster(center, curve, points)
+        s_coeffs = _choose_section(center, images, rng)
         builder = _cluster_series_builder(center, curve, points, s_coeffs)
         start_n = max(2 * center.ell + 4, center.degree + 2)
-        closed, ring_gap, delta = close_and_stabilize(builder, start_n, cap=truncation_cap)
-        n_used = closed.ambient.truncation
-        amb, vectors = builder(n_used)
-        space = SeriesSubspace.span(amb, vectors)
+        space, _, ring_gap, delta = close_and_stabilize(builder, start_n, cap=truncation_cap)
         vgap = GapFunction(space, VECTOR_SPACE)
-        order = max(2, min(bound, n_used, curve.dim_w))
+        order = max(2, min(bound, curve.dim_w))  # bound < d + 2 <= start_n
         flag_dim = _flag_dims(center, curve, points, order)
 
         if crosscheck:
@@ -600,7 +593,7 @@ def analyze_at_points(
         reports.append(
             ClusterReport(
                 points=list(points),
-                tangent=_tangent_flags(flag_dim, len(points)),
+                tangent=[flag_dim(tuple(2 * (q == p) for q in points)) >= 1 for p in points],
                 delta=delta,
                 stype=stype,
                 vs_label=vs_label,
@@ -641,11 +634,6 @@ def _flag_dims(center, curve, points, order):
     k = len(m_rows)
     blocks = [linalg.image_block(curve.osc_rows(p, order), m_rows, field) for p in points]
     return lambda alpha: sum(c >= k for c in linalg.stacked_pivots(blocks, alpha, field))
-
-
-def _tangent_flags(flag_dim, r: int) -> list:
-    """Per point P_i: does the tangent line F^(2·e_i) meet L?"""
-    return [flag_dim(tuple(2 * (j == i) for j in range(r))) >= 1 for i in range(r)]
 
 
 def _dual_path_check(flag_dim, vgap, bound):

@@ -391,6 +391,29 @@ def test_curve_model_width_must_match_center(field, dim_w):
     assert "dim_w" in out["error"]["message"]
 
 
+@pytest.mark.parametrize("field", ["Fp:101", "rational"])
+@pytest.mark.parametrize("powers", [[0, 1], [0, 2, 4, 6, 8, 10]], ids=["t0-t1", "t2k"])
+def test_rank_deficient_expansion_table_exits_2(field, powers):
+    # a nonzero section of a degree-5 model vanishes to order at most 5, so the
+    # rows t^0..t^5 of a table have rank dim_w; before the check these tables
+    # ended in a dual-path mismatch (exit 1) or a stabilization error (exit 5)
+    table = [[int(j == e) for j in range(20)] for e in powers]
+    table += [[0] * 20 for _ in range(6 - len(powers))]
+    job = {
+        "command": "analyze-projection",
+        "field": field,
+        "params": {
+            "degree": 5,
+            "center": {"rows": [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]]},
+            "curve_model": {"dim_w": 6, "expansions": {"P": table}},
+            "clusters": [["P"]],
+        },
+    }
+    code, out = run_job(job)
+    assert code == 2 and out["error"]["kind"] == "ValidationError"
+    assert "expansion table at 'P'" in out["error"]["message"]
+
+
 def test_analyze_user_model_hypothesis_gate():
     job = _user_model_job()
     job["params"]["curve_model"]["genus"] = 1  # ell = 2, d = 5: 2*ell < d - 2g fails

@@ -346,9 +346,10 @@ def test_close_and_stabilize_escalates():
             vecs.append(TruncatedSeries.monomial(amb, 0, 7))
         return amb, vecs
 
-    closed, gap, delta = close_and_stabilize(builder, start_truncation=4)
+    span, closed, gap, delta = close_and_stabilize(builder, start_truncation=4)
     assert delta == 3
     assert gap.truncation >= 8
+    assert span.ambient == closed.ambient and span.dim == 3
 
 
 def test_helper_lemma_on_standard_gaps():

@@ -24,6 +24,7 @@ from gapcurve.project import (
     _choose_section,
     _cluster_series_builder,
     _flag_dims,
+    _point_image,
     analyze,
     analyze_at_points,
     certify_no_extension_ramification,
@@ -710,7 +711,13 @@ def test_tangent_flags_match_intersection_oracle_over_q():
     # both the Q route's clusters and the analyzed cluster reports
     curve = RationalNormalCurve(QQ, 5)
     seen = set()
-    cases = [("1.1", [(2, 1)]), ("1.2", [(1, 1), (-3, 1)]), ("2.2.b", [(1, 0), (4, 1)])]
+    cases = [
+        ("1.1", [(2, 1)]),
+        ("1.2", [(1, 1), (-3, 1)]),
+        ("2.2.b", [(1, 0), (4, 1)]),
+        ("2.3", [(1, 0), (2, 1), (-5, 1)]),  # a three-point fiber
+        ("2.2.a", [(0, 1), (3, 1)]),  # a tacnode: shared tangent, neither point tangent
+    ]
     for label, coords in cases:
         spec = stratum_spec(label, [curve.point(*c) for c in coords], curve, 2)
         center = sample_center(spec, 13, curve)
@@ -720,6 +727,41 @@ def test_tangent_flags_match_intersection_oracle_over_q():
             assert cl.tangent == _tangent_oracle(center, curve, cl.points)
             seen.update(cl.tangent)
     assert seen == {True, False}
+
+    # two cusps in one fiber (delta past the table, so the search alone):
+    # L = <nu'(P), nu'(Q), nu(P) - nu(Q)> makes both roots of the partner form double
+    p, q = curve.point(2, 1), curve.point(1, 0)
+    (p0, p1), (q0, q1) = curve.osc_rows(p, 2), curve.osc_rows(q, 2)
+    center = ProjectionCenter.from_rows(QQ, 5, [p1, q1, [x - y for x, y in zip(p0, q0)]])
+    [cluster] = find_ramification(center, curve)
+    assert cluster.points == [p, q] and cluster.tangent == [True, True]
+    assert cluster.tangent == _tangent_oracle(center, curve, cluster.points)
+
+
+def test_one_build_per_truncation(monkeypatch):
+    """close_and_stabilize returns the span it closed, so no cluster builds
+    its series at any truncation twice."""
+    real = project._cluster_series_builder
+    builds = []
+
+    def spy(*args):
+        builder, seen = real(*args), []
+        builds.append(seen)
+
+        def counted(n):
+            seen.append(n)
+            return builder(n)
+
+        return counted
+
+    monkeypatch.setattr(project, "_cluster_series_builder", spy)
+    for field in (F, QQ):
+        curve = RationalNormalCurve(field, 5)
+        analyze(quintic_345_center(field), curve)
+        analyze(sample_center(stratum_spec("1.2", [curve.point(1, 1), curve.point(3, 1)],
+                                           curve, 2), 3, curve), curve)
+    assert len(builds) == 4
+    assert all(seen and len(seen) == len(set(seen)) for seen in builds)
 
 
 def test_tangent_flags_match_intersection_oracle_user_model():
@@ -812,7 +854,7 @@ def test_int64_cluster_builder_matches_boxed_series():
         points = [curve.point(3, 1), curve.point(2**20 + 7, 1), curve.point(1, 0)]
         rows = [[field.random_element(rng) for _ in range(9)] for _ in range(3)]
         center = ProjectionCenter.from_rows(field, 8, rows)
-        s = _choose_section(center, curve, points, rng)
+        s = _choose_section(center, [_point_image(center, curve, p) for p in points], rng)
         for n in (1, 5, 12):
             amb, got = _cluster_series_builder(center, curve, points, s)(n)
             inv = [curve.local_expansion(s, p, n).inverse() for p in points]
