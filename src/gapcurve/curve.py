@@ -178,6 +178,8 @@ class ExpansionCurveModel:
         self.dim_w = dim_w
         self.degree = degree
         self.genus = genus
+        if not expansions:
+            raise ValidationError("an expansion curve model needs at least one point table")
         self._tables = {}
         for key, table in expansions.items():
             rows = [[field(c) for c in row] for row in table]

@@ -1,82 +1,89 @@
 """Dense exact linear algebra over the base fields.
 
 Matrices are lists of rows, rows are lists of field elements.  All routines
-are exact.  Over a prime field the work is routed through an int64 numpy
-kernel (integers mod p stay integers, so this is exact too); over the
-rationals a plain Fraction elimination is used.
+are exact.  Every elimination runs in one fraction-free numpy kernel,
+``_eliminate``: over a prime field on int64 residues mod p, over the
+rationals on rows scaled into integers (Python ints in an object array).
+Reduced forms divide by each pivot once, at the end.
 """
 
 from __future__ import annotations
+
+import functools
+import math
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import ValidationError
 from .fields import GFElement, PrimeField
 
-Matrix = list  # list of rows
-
 
 # ---------------------------------------------------------------------------
-# numpy kernel for F_p (int64 entries in [0, p))
+# one fraction-free elimination kernel for both fields
+
+def _eliminate(a: np.ndarray, p: int, full: bool) -> list:
+    """Echelonize the rows of a in place; returns the pivot columns.
+
+    At each pivot (r, c) every other row i with a nonzero entry in column c
+    becomes a[r, c]·row_i − a[i, c]·row_r, which needs no inverse.  Without
+    ``full`` only the rows below r change, and only in columns >= c, as they
+    are zero left of c.  With ``full`` the rows above r are cleared too; the
+    factor a[r, c] scales their entries left of c, so the update spans all
+    columns.  The first len(pivots) rows then hold the echelon form, each
+    row with its own pivot scale.
+
+    p > 0: a holds int64 residues mod p, reduced after each update.  Both
+    products of residues stay below 2^62 for p < 2^31, so their difference
+    is exact in int64.
+    p = 0: a is an object array of Python ints (rows of Q scaled into Z), and
+    each updated row is divided by its content, so the entries stay small.
+    """
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = a[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            i = r + int(nz[0])
+            a[[r, i]] = a[[i, r]]  # row i now holds the old row r, zero in column c
+        if full:
+            rows = a[:, c].nonzero()[0]
+            rows, lo = rows[rows != r], 0
+        else:
+            rows, lo = (r + nz[1:] if nz.size > 1 else ()), c
+        if len(rows):
+            new = a[rows, lo:] * a[r, c] - np.outer(a[rows, c], a[r, lo:])
+            if p:
+                new %= p
+            else:
+                content = np.gcd.reduce(new, axis=1)
+                content[content == 0] = 1
+                new //= content[:, None]
+            a[rows, lo:] = new
+        pivots.append(c)
+        r += 1
+    return pivots
+
 
 def gfp_rref(a: np.ndarray, p: int):
     """Reduced row echelon form mod p of a copy of a.  Returns (rref, pivot cols).
 
-    Row r is zero left of its pivot column c, so only columns >= c change.  A
-    product of two residues stays below 2^62 for p < 2^31, so each update is
-    exact in int64 before it is reduced.
-    """
-    a = np.ascontiguousarray(a % p, dtype=np.int64)
-    nrows, ncols = a.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = a[r:, c].nonzero()[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = a[r] * inv % p
-        rows = a[:, c].nonzero()[0]
-        rows = rows[rows != r]
-        if rows.size:
-            a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return a[: len(pivots)], pivots
+    One inverse per pivot row, after the fraction-free elimination."""
+    a = np.asarray(a, dtype=np.int64) % p
+    pivots = _eliminate(a, p, True)
+    a = a[: len(pivots)]
+    inverses = [pow(int(a[i, c]), -1, p) for i, c in enumerate(pivots)]
+    return a * np.array(inverses, dtype=np.int64)[:, None] % p, pivots
 
 
 def gfp_pivots(a: np.ndarray, p: int) -> list:
-    """Pivot columns of the RREF of a mod p, by forward elimination only.
-
-    Only the rows below the pivot row r with a nonzero entry in the pivot
-    column c change: row i becomes a[r, c]·row_i − a[i, c]·row_r, which needs
-    no inverse.  Both products of residues stay below 2^62 for p < 2^31, so
-    their difference is exact in int64 before it is reduced mod p.
-    """
-    a = np.asarray(a, dtype=np.int64) % p  # a fresh array: the input is untouched
-    nrows, ncols = a.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = a[r:, c].nonzero()[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]  # row i now holds the old row r, zero in column c
-        if nz.size > 1:
-            rows = r + nz[1:]
-            a[rows, c:] = (a[rows, c:] * a[r, c] - np.outer(a[rows, c], a[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return pivots
+    """Pivot columns of the RREF of a mod p, by forward elimination only."""
+    return _eliminate(np.asarray(a, dtype=np.int64) % p, p, False)
 
 
 def gfp_matrix(rows, ncols: int) -> np.ndarray:
@@ -116,35 +123,16 @@ def batch_inverse(vals: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# generic field-element elimination
-
-def _rref_generic(rows, field):
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(mat):
-            break
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = field.one / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        prow = mat[r]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], prow)]
-        pivots.append(c)
-        r += 1
-    return mat[: len(pivots)], pivots
+def _integer_rows(rows) -> np.ndarray:
+    """Rows of rationals as an object array of Python ints, each row scaled
+    into Z by the lcm of its denominators (the row space is unchanged)."""
+    out = []
+    for row in rows:
+        # not lcm(*generator): each call would leave a resized tuple in the
+        # interpreter's tuple free lists, about 1 MB over a Q workload
+        scale = functools.reduce(math.lcm, (x.denominator for x in row), 1)
+        out.append([x.numerator * (scale // x.denominator) for x in row])
+    return np.array(out, dtype=object).reshape(len(rows), len(rows[0]))
 
 
 def rref(rows, field):
@@ -154,18 +142,20 @@ def rref(rows, field):
     if isinstance(field, PrimeField):
         a, piv = gfp_rref(gfp_matrix(rows, len(rows[0])), field.p)
         return gfp_elements(a, field), piv
-    return _rref_generic(rows, field)
+    a = _integer_rows(rows)
+    piv = _eliminate(a, 0, True)
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(a.tolist(), piv)], piv
 
 
 def rank(rows, field) -> int:
     """Rank of a list of rows, or over F_p also of an int64 residue array."""
     if len(rows) == 0:
         return 0
-    if isinstance(field, PrimeField):
-        if not isinstance(rows, np.ndarray):
-            rows = gfp_matrix(rows, len(rows[0]))
-        return len(gfp_pivots(rows, field.p))
-    return len(_rref_generic(rows, field)[1])
+    if not isinstance(field, PrimeField):
+        return len(_eliminate(_integer_rows(rows), 0, False))
+    if not isinstance(rows, np.ndarray):
+        rows = gfp_matrix(rows, len(rows[0]))
+    return len(gfp_pivots(rows, field.p))
 
 
 def nullspace(rows, field, ncols: int):
@@ -219,12 +209,14 @@ def image_block(rows, m_rows, field):
     dim(F ∩ ker Mᵀ).
 
     Over F_p the block is one int64 residue array, with J·Mᵀ from
-    ``gfp_dot``.  Over the rationals it is a list of Fraction rows.
+    ``gfp_dot``.  Over the rationals it is an object array of integer rows,
+    each row of the block scaled into Z.
     """
     if isinstance(field, PrimeField):
         j = gfp_matrix(rows, len(m_rows[0]))
         return np.hstack([gfp_dot(j, gfp_matrix(m_rows, len(m_rows[0])), field.p), j])
-    return [image + list(row) for image, row in zip(_dot_rows(rows, m_rows, field), rows)]
+    images = _dot_rows(rows, m_rows, field)
+    return _integer_rows([image + list(row) for image, row in zip(images, rows)])
 
 
 def _dot_rows(a_rows, b_rows, field):
@@ -238,12 +230,11 @@ def _dot_rows(a_rows, b_rows, field):
 def stacked_pivots(blocks, counts, field) -> list:
     """Pivot columns of the stack of the first counts[i] rows of each block.
 
-    The blocks come from ``image_block``; over F_p the stack stays int64 and
-    only the pivot columns are computed, with no field elements built.
+    The blocks come from ``image_block``; the stack is eliminated as it is,
+    and only the pivot columns are computed, with no field elements built.
     """
-    if isinstance(field, PrimeField):
-        return gfp_pivots(np.concatenate([b[:c] for b, c in zip(blocks, counts)]), field.p)
-    return _rref_generic([row for b, c in zip(blocks, counts) for row in b[:c]], field)[1]
+    stack = np.concatenate([b[:c] for b, c in zip(blocks, counts)])
+    return _eliminate(stack, field.characteristic, False)
 
 
 def intersection_dim(a_rows, b_rows, field) -> int:

@@ -548,6 +548,8 @@ def analyze_at_points(
     yields the singularity degree.  The tangent flags are the flag-side cells
     2·e_i.  A user-supplied model's table precision caps the truncation.
     """
+    if center.field != curve.field:
+        raise ValidationError("center and curve ambient mismatch")
     if isinstance(curve, ExpansionCurveModel):
         truncation_cap = min(truncation_cap, curve.precision)
     reports = []

@@ -46,3 +46,32 @@ def independent_rank(rows, field, ncols):
                 mat[r] = [a - factor * b for a, b in zip(mat[r], prow)]
         rank += 1
     return rank
+
+
+def field_rref(rows, field):
+    """RREF oracle: a plain Gauss–Jordan over field elements, one inverse per pivot.
+
+    Independent of gapcurve.linalg's fraction-free kernel; returns (nonzero
+    rows, pivot columns).
+    """
+    mat = [list(r) for r in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(mat):
+            break
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = field.one / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        prow = mat[r]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], prow)]
+        pivots.append(c)
+        r += 1
+    return mat[: len(pivots)], pivots

@@ -139,6 +139,12 @@ def test_user_model_expansion_past_precision_raises():
         ExpansionCurveModel(QQ, 1, 2, 0, {"P": [[]]})
 
 
+def test_user_model_without_tables_is_refused():
+    # without a table there is no precision to cap the truncation by
+    with pytest.raises(ValidationError, match="at least one point table"):
+        ExpansionCurveModel(QQ, 6, 5, 0, {})
+
+
 def test_expansion_order_matches_osc_pairing():
     # ord_t(expansion of s at P) >= i  <=>  s in the annihilator of V^i(P)
     curve = RationalNormalCurve(GF(10007), 6)

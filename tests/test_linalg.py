@@ -1,13 +1,16 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapcurve import linalg
 from gapcurve.errors import ValidationError
 from gapcurve.fields import GF, QQ
 
-from conftest import independent_rank
+from conftest import field_rref, independent_rank
 
 
 def random_matrix(field, rng, nrows, ncols):
@@ -75,7 +78,7 @@ def test_gfp_kernel_matches_generic():
     for _ in range(20):
         rows = [[field(rng.randrange(p)) for _ in range(6)] for _ in range(5)]
         fast = linalg.rank(rows, field)
-        slow = len(linalg._rref_generic(rows, field)[1])
+        slow = len(field_rref(rows, field)[1])
         assert fast == slow
 
 
@@ -92,7 +95,60 @@ def test_gfp_pivots_match_generic(p):
             row = linalg.combine([field.random_element(rng) for _ in basis], basis, field, ncols)
             rows.append([field.zero if c in dead else x for c, x in enumerate(row)])
         fast = linalg.gfp_pivots(linalg.gfp_matrix(rows, ncols), p)
-        assert fast == linalg._rref_generic(rows, field)[1]
+        assert fast == field_rref(rows, field)[1]
+
+
+def _entries(field):
+    """Q: numerators up to 10^20 over denominators <= 7; F_p: residues within
+    60 of p, where the fraction-free update multiplies two residues near p."""
+    if field == QQ:
+        nonzero = st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 7))
+        return st.one_of(st.just(Fraction(0)), nonzero)
+    return st.one_of(st.just(0), st.integers(max(0, field.p - 60), field.p - 1)).map(field)
+
+
+@st.composite
+def _matrices(draw, field, ncols):
+    """At least one row, with zero, duplicate and summed rows inserted anywhere."""
+    row = st.lists(_entries(field), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    kinds = st.sampled_from(["zero", "copy", "sum"])
+    extra = st.tuples(kinds, st.integers(0, 9), st.integers(0, 9))
+    for kind, i, j in draw(st.lists(extra, max_size=3)):
+        i, j = i % len(rows), j % len(rows)
+        new = {
+            "zero": [field.zero] * ncols,
+            "copy": list(rows[i]),
+            "sum": [a + b for a, b in zip(rows[i], rows[j])],
+        }[kind]
+        rows.insert(j, new)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, GF(3), GF(101), GF(2**31 - 1)], ids=["QQ", "p3", "p101", "p2^31-1"]
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_elimination_matches_field_oracle(field, data):
+    """rref, rank and stacked_pivots agree exactly with a Gauss–Jordan over
+    field elements, zero-width rows included."""
+    ncols = data.draw(st.integers(0, 6))
+    rows = data.draw(_matrices(field, ncols))
+    want_rows, want_pivots = field_rref(rows, field)
+    assert linalg.rref(rows, field) == (want_rows, want_pivots)
+    assert linalg.rank(rows, field) == len(want_pivots)
+    if field != QQ:
+        assert linalg.rank(linalg.gfp_matrix(rows, ncols), field) == len(want_pivots)
+    m_rows = data.draw(_matrices(field, ncols))
+    block = linalg.image_block(rows, m_rows, field)
+    extended = [
+        [sum((a * b for a, b in zip(row, m)), field.zero) for m in m_rows] + row for row in rows
+    ]
+    counts = data.draw(st.tuples(st.integers(0, len(rows)), st.integers(0, len(rows))))
+    stacked = extended[: counts[0]] + extended[: counts[1]]
+    want = field_rref(stacked, field)[1]
+    assert linalg.stacked_pivots([block, block], counts, field) == want
 
 
 @pytest.mark.parametrize("field", [GF(2**31 - 1), QQ], ids=["p2^31-1", "QQ"])
@@ -109,7 +165,8 @@ def test_image_block_and_stacked_pivots(field):
     j_rows.append(linalg.combine([field(2), field(3)], j_rows[:2], field, width))
     m_rows = [[near_top() for _ in range(width)] for _ in range(k)]
     block = linalg.image_block(j_rows, m_rows, field)
-    as_field = [[field(int(x)) for x in row] for row in block] if field != QQ else block
+    # integer J and M over Q: the block's rows need no scaling into Z
+    as_field = [[field(int(x)) for x in row] for row in block]
     for row, got in zip(j_rows, as_field):
         image = [sum((a * b for a, b in zip(row, m)), field.zero) for m in m_rows]
         assert got == image + row

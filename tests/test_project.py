@@ -113,6 +113,16 @@ def test_check_center_indeterminate_over_q():
     assert v.indeterminate and not v.basepoint_free
 
 
+@pytest.mark.parametrize(
+    "center_field, curve_field", [(QQ, GF(101)), (GF(101), QQ)], ids=["QQ-on-p101", "p101-on-QQ"]
+)
+def test_named_clusters_need_the_center_field(center_field, curve_field):
+    # named clusters skip check_center, so analyze_at_points checks the field itself
+    curve = RationalNormalCurve(curve_field, 5)
+    with pytest.raises(ValidationError, match="center and curve ambient mismatch"):
+        analyze(quintic_345_center(center_field), curve, clusters=[[curve.point(1, 0)]])
+
+
 def conjugate_basepoint_system(d):
     """(x^2 + y^2) * all forms of degree d - 2: basepoints where x = +-i y."""
     return [[1 if k in (j, j + 2) else 0 for k in range(d + 1)] for j in range(d - 1)]
