@@ -29,6 +29,7 @@ integers, so no overflow bound applies.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import count
 from math import gcd as int_gcd, lcm
 
@@ -45,7 +46,7 @@ class BinaryForm:
 
     def __init__(self, field, coeffs):
         self.field = field
-        self.coeffs = tuple(field(c) for c in coeffs)
+        self.coeffs = tuple([field(c) for c in coeffs])  # a generator's tuple is resized
         if not self.coeffs:
             raise ValidationError("empty coefficient list")
 
@@ -158,9 +159,9 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 
 def _primitive(cs):
     """The primitive integer multiple of a nonzero list of rationals."""
-    den = lcm(*(c.denominator for c in cs))
+    den = reduce(lcm, (c.denominator for c in cs), 1)  # no starred tuples, as linalg._integer_rows
     ints = [c.numerator * (den // c.denominator) for c in cs]
-    content = int_gcd(*ints)
+    content = reduce(int_gcd, ints, 0)
     return [c // content for c in ints]
 
 
@@ -446,7 +447,7 @@ def _integer_rows(h: BiForm):
     and the rows are the residues."""
     if isinstance(h.field, PrimeField):
         return 1, [[c.value for c in row] for row in h.coeffs]
-    den = lcm(*(c.denominator for row in h.coeffs for c in row))
+    den = reduce(lcm, (c.denominator for row in h.coeffs for c in row), 1)
     return den, [[c.numerator * (den // c.denominator) for c in row] for row in h.coeffs]
 
 

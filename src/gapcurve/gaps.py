@@ -6,9 +6,11 @@ algebra-closed R the function stabilizes and its supremum is the singularity
 degree delta; membership of marked elements in the valuation semigroup can be
 read off from equalities between adjacent gap values.
 
-A GapFunction memoizes its evaluations.  The memo is a plain dict, so one
-instance is single-threaded by contract; use clone() to hand copies to other
-threads.  Everything else in this module is immutable.
+A GapFunction memoizes its evaluations; a miss at alpha fills the whole window
+line (alpha_1, ..., alpha_{r-1}, a) for a <= alpha_r from one elimination.  The
+memo is a plain dict, so one instance is single-threaded by contract; use
+clone() to hand copies to other threads.  Everything else in this module is
+immutable.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import (
     StabilizationCapError,
     ValidationError,
 )
-from .series import SeriesSubspace, _echelon, _products, quotient_dim
+from .series import SeriesSubspace, _echelon, _products
 
 VECTOR_SPACE = "vector-space"
 ALGEBRA_CLOSED = "algebra-closed"
@@ -61,8 +63,11 @@ class GapFunction:
                     raise NotStabilizedError(
                         f"exponent vector {alpha} exceeds truncation N={self.truncation}"
                     )
-            v = quotient_dim(self.backend, alpha)
-            self._memo[alpha] = v
+            # one elimination gives the whole window line below alpha
+            head, base = alpha[:-1], sum(alpha[:-1])
+            for a, rank in enumerate(self.backend._line_ranks(alpha)):
+                self._memo[head + (a,)] = base + a - rank
+            v = self._memo[alpha]
         return v
 
     # -- structural predicates ------------------------------------------------

@@ -70,6 +70,30 @@ def _eliminate(a: np.ndarray, p: int, full: bool) -> list:
     return pivots
 
 
+def insert_row(rows: dict, v: np.ndarray, p: int) -> None:
+    """Add the row v to an echelon state {leading column: row} unless it lies
+    in its span; the keys are the pivot columns of the span's RREF.
+
+    While v leads at a column c where a row u does, v becomes u[c]·v − v[c]·u,
+    the step of ``_eliminate``.  p > 0: int64 residues; both products stay
+    below 2^62 for p < 2^31, so their difference is exact.  p = 0: Python
+    ints, each step divided by its content.
+    """
+    nz = v.nonzero()[0]
+    while nz.size:
+        c = int(nz[0])
+        u = rows.get(c)
+        if u is None:
+            rows[c] = v
+            return
+        v = v * u[c] - u * v[c]
+        if p:
+            v %= p
+        else:
+            v //= np.gcd.reduce(v) or 1
+        nz = v.nonzero()[0]
+
+
 def gfp_rref(a: np.ndarray, p: int):
     """Reduced row echelon form mod p of a copy of a.  Returns (rref, pivot cols).
 
@@ -132,7 +156,7 @@ def _integer_rows(rows) -> np.ndarray:
         # interpreter's tuple free lists, about 1 MB over a Q workload
         scale = functools.reduce(math.lcm, (x.denominator for x in row), 1)
         out.append([x.numerator * (scale // x.denominator) for x in row])
-    return np.array(out, dtype=object).reshape(len(rows), len(rows[0]))
+    return np.array(out, dtype=object).reshape(len(rows), len(rows[0]) if rows else 0)
 
 
 def rref(rows, field):
@@ -147,15 +171,21 @@ def rref(rows, field):
     return [[Fraction(x, row[c]) for x in row] for row, c in zip(a.tolist(), piv)], piv
 
 
-def rank(rows, field) -> int:
-    """Rank of a list of rows, or over F_p also of an int64 residue array."""
+def pivots(rows, field) -> list:
+    """RREF pivot columns of a list of rows, or over F_p also of an int64
+    residue array, by forward elimination only."""
     if len(rows) == 0:
-        return 0
+        return []
     if not isinstance(field, PrimeField):
-        return len(_eliminate(_integer_rows(rows), 0, False))
+        return _eliminate(_integer_rows(rows), 0, False)
     if not isinstance(rows, np.ndarray):
         rows = gfp_matrix(rows, len(rows[0]))
-    return len(gfp_pivots(rows, field.p))
+    return gfp_pivots(rows, field.p)
+
+
+def rank(rows, field) -> int:
+    """Rank of a list of rows, or over F_p also of an int64 residue array."""
+    return len(pivots(rows, field))
 
 
 def nullspace(rows, field, ncols: int):
@@ -203,8 +233,8 @@ def solve_right(rows, rhs, field):
 def image_block(rows, m_rows, field):
     """The block [J·Mᵀ | J] for the rows J of a subspace F and k forms M.
 
-    Elimination picks pivots column by column, so in any stack of rows of
-    such blocks (see ``stacked_pivots``) the pivots left of column k count
+    Pivots are chosen column by column, so for any rows of such blocks (put
+    into one echelon state by ``insert_row``) the pivots left of column k count
     rank(F·Mᵀ), all pivots count rank F, and the pivots at index >= k count
     dim(F ∩ ker Mᵀ).
 
@@ -225,16 +255,6 @@ def _dot_rows(a_rows, b_rows, field):
         [sum((x * y for x, y in zip(a, b) if x and y), field.zero) for b in b_rows]
         for a in a_rows
     ]
-
-
-def stacked_pivots(blocks, counts, field) -> list:
-    """Pivot columns of the stack of the first counts[i] rows of each block.
-
-    The blocks come from ``image_block``; the stack is eliminated as it is,
-    and only the pivot columns are computed, with no field elements built.
-    """
-    stack = np.concatenate([b[:c] for b, c in zip(blocks, counts)])
-    return _eliminate(stack, field.characteristic, False)
 
 
 def intersection_dim(a_rows, b_rows, field) -> int:

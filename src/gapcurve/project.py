@@ -24,6 +24,7 @@ locus that cannot be resolved to rational points is an explicit error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import PrimeField
-from .gaps import TRUNCATION_CAP, VECTOR_SPACE, GapFunction, close_and_stabilize
+from .gaps import TRUNCATION_CAP, VECTOR_SPACE, GapFunction, close_and_stabilize, simplex
 from .series import Ambient, TruncatedSeries, _gfp_inverse, _gfp_products
 
 
@@ -562,11 +563,11 @@ def analyze_at_points(
         start_n = max(2 * center.ell + 4, center.degree + 2)
         space, _, ring_gap, delta = close_and_stabilize(builder, start_n, cap=truncation_cap)
         vgap = GapFunction(space, VECTOR_SPACE)
-        order = max(2, min(bound, curve.dim_w))  # bound < d + 2 <= start_n
-        flag_dim = _flag_dims(center, curve, points, order)
-
+        tangent_cells = [tuple(2 * (q == p) for q in points) for p in points]
+        cells = list(simplex(bound, len(points))) if crosscheck else []
+        flag = _flag_dims(center, curve, points, cells + tangent_cells)
         if crosscheck:
-            _dual_path_check(flag_dim, vgap, bound)
+            _dual_path_check(flag, vgap, cells)
 
         vs_label = None
         stype = None
@@ -595,7 +596,7 @@ def analyze_at_points(
         reports.append(
             ClusterReport(
                 points=list(points),
-                tangent=[flag_dim(tuple(2 * (q == p) for q in points)) >= 1 for p in points],
+                tangent=[flag[cell] >= 1 for cell in tangent_cells],
                 delta=delta,
                 stype=stype,
                 vs_label=vs_label,
@@ -607,47 +608,52 @@ def analyze_at_points(
 
 
 def _lambda_samples(vgap: GapFunction, delta: int) -> dict:
-    r = vgap.arity
     bound = min(2 * delta + 2, vgap.truncation, 10)
-    out = {}
-    count = 0
-    from .gaps import simplex
-
-    for alpha in simplex(bound, r, minimum=1):
-        out[alpha] = vgap(alpha)
-        count += 1
-        if count >= 256:
-            break
-    return out
+    cells = list(islice(simplex(bound, vgap.arity, minimum=1), 256))
+    values = {alpha: vgap(alpha) for alpha in reversed(cells)}  # each line from its top
+    return {alpha: values[alpha] for alpha in cells}
 
 
-def _flag_dims(center, curve, points, order):
-    """alpha -> dim(L cap F^alpha) for alpha_i <= order, one elimination a cell.
+def _flag_dims(center, curve, points, cells) -> dict:
+    """{alpha: dim(L cap F^alpha)} for the given cells, by one row-insertion walk.
 
-    L is the kernel of v -> v·M^T with M = L-perp, so dim(L cap F^alpha) =
-    rank F^alpha - rank(F^alpha·M^T).  Each point P gets its block
-    W_P = [J_P·M^T | J_P] once, with J_P = osc_rows(P, order); a cell stacks
-    the first alpha_i rows of each W_{P_i} and counts the pivots past the k
-    columns of J·M^T (``linalg.image_block``).  The same code serves the
-    built-in curve and user models.
+    L is the kernel of v -> v·M^T with M = L-perp, so dim(L cap F^alpha) is the
+    number of pivots past the k columns of J·M^T among the first alpha_i rows of
+    each block W_{P_i} = [J_{P_i}·M^T | J_{P_i}] (``linalg.image_block``).  The
+    cells are walked in lexicographic order with one echelon state per prefix
+    alpha_1..alpha_i: a cell keeps the states it shares with the cell before,
+    inserts rows where its first differing entry grew, and rebuilds the later
+    states from there.  The same code serves the built-in curve and user models.
     """
     field = center.field
     m_rows = center.m_basis()
     k = len(m_rows)
+    cells = sorted(set(cells))
+    order = max((max(alpha) for alpha in cells), default=0)
     blocks = [linalg.image_block(curve.osc_rows(p, order), m_rows, field) for p in points]
-    return lambda alpha: sum(c >= k for c in linalg.stacked_pivots(blocks, alpha, field))
+    r = len(points)
+    states = [{} for _ in range(r + 1)]
+    prev = (0,) * r
+    out = {}
+    for alpha in cells:
+        first = next((i for i in range(r) if alpha[i] != prev[i]), r)
+        for i in range(first, r):
+            if i > first:
+                states[i + 1] = dict(states[i])
+            for row in blocks[i][prev[i] if i == first else 0 : alpha[i]]:
+                linalg.insert_row(states[i + 1], row, field.characteristic)
+        out[alpha] = sum(c >= k for c in states[r])
+        prev = alpha
+    return out
 
 
-def _dual_path_check(flag_dim, vgap, bound):
-    """Series-side gap values must equal flag-side dim(L cap F^alpha) for
-    |alpha| <= bound."""
-    n = vgap.truncation
-    from .gaps import simplex
-
-    for alpha in simplex(bound, vgap.arity):
-        if any(a > n for a in alpha):
-            continue
-        series_val, flag_val = vgap(alpha), flag_dim(alpha)
+def _dual_path_check(flag: dict, vgap, cells):
+    """Series-side gap values must equal the flag-side values on the cells
+    |alpha| <= d + 1 - 2*rho_g; no entry reaches the truncation N >= d + 2, the
+    first one tried.  Each window line is compared from its top down, so one
+    elimination fills it in the series memo."""
+    for alpha in reversed(cells):
+        series_val, flag_val = vgap(alpha), flag[alpha]
         if series_val != flag_val:
             raise GapcurveError(
                 f"dual-path mismatch at alpha={alpha}: series {series_val} "

@@ -269,10 +269,8 @@ def _conditions_hold_exactly(center: ProjectionCenter, spec: SchubertSpec, curve
     """dim(L cap F^alpha) along the spec's chain is exactly what the open cell
     prescribes: the number of sampled vectors that lie in F^alpha."""
     vdims = _vector_dims(spec.conditions)
-    flag_dim = _flag_dims(center, curve, spec.points, max(map(max, spec.chain)))
-    return all(
-        flag_dim(alpha) == sum(1 for v in vdims if v <= sum(alpha)) for alpha in spec.chain
-    )
+    flag = _flag_dims(center, curve, spec.points, spec.chain)
+    return all(flag[alpha] == sum(1 for v in vdims if v <= sum(alpha)) for alpha in spec.chain)
 
 
 def _draw_cell(specs, ell: int, curve, rng):

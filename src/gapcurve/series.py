@@ -11,6 +11,7 @@ Everything here is immutable after construction and safe to share.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import product
 
 import numpy as np
@@ -415,6 +416,16 @@ class SeriesSubspace:
 
     def jet_rank(self, alpha) -> int:
         """Rank of the image of the subspace in prod_i K[t_i]/(t_i^alpha_i)."""
+        return self._line_ranks(alpha)[-1]
+
+    def _line_ranks(self, alpha) -> list:
+        """Jet ranks at (alpha_1, ..., alpha_{r-1}, a) for a = 0, ..., alpha_r.
+
+        The window columns are those of branches 1..r-1 followed by branch r by
+        exponent, and the pivots of a column prefix are the pivots before its
+        end, so one forward elimination gives the whole line.  For r = 1 the
+        window is a prefix of the monomial order, and the RREF pivots decide.
+        """
         n = self.ambient.truncation
         r = self.ambient.branches
         if len(alpha) != r:
@@ -422,18 +433,10 @@ class SeriesSubspace:
         for a in alpha:
             if a < 0 or a > n:
                 raise ValidationError(f"exponent vector {alpha} exceeds truncation N={n}")
-        if not self.pivots:
-            return 0
-        if r == 1:
-            # window is a prefix of the monomial order: pivots decide
-            a = alpha[0]
-            return sum(1 for p in self.pivots if p < a)
-        keep = []
-        for i, a in enumerate(alpha):
-            keep.extend(range(i * n, i * n + a))
-        if not keep:
-            return 0
-        return linalg.rank(_columns(self._rows, keep), self.field)
+        keep = [c for i, a in enumerate(alpha) for c in range(i * n, i * n + a)]
+        pivots = self.pivots if r == 1 else linalg.pivots(_columns(self._rows, keep), self.field)
+        base = len(keep) - alpha[-1]
+        return [bisect_left(pivots, base + a) for a in range(alpha[-1] + 1)]
 
     def __repr__(self):
         return f"SeriesSubspace(dim={self.dim}, {self.ambient})"

@@ -1,8 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
+from gapcurve import linalg
 from gapcurve.fields import GF, QQ
+from gapcurve.series import _columns
 
 
 @pytest.fixture(params=["rational", "Fp:10007", "Fp:101"])
@@ -75,3 +78,34 @@ def field_rref(rows, field):
         pivots.append(c)
         r += 1
     return mat[: len(pivots)], pivots
+
+
+def stacked_pivots(blocks, counts, field) -> list:
+    """Pivot columns of the stack of the first counts[i] rows of each block.
+
+    The per-cell flag route: the blocks come from ``linalg.image_block`` and
+    the stack is eliminated as it is, with nothing shared between cells.
+    """
+    stack = np.concatenate([b[:c] for b, c in zip(blocks, counts)])
+    return linalg._eliminate(stack, field.characteristic, False)
+
+
+def per_cell_flag_dims(center, curve, points, cells) -> dict:
+    """dim(L ∩ F^α) for each cell by its own elimination: the number of pivots
+    past the k columns of J·Mᵀ in the stack of the first α_i rows of each block."""
+    m_rows = center.m_basis()
+    order = max((max(alpha) for alpha in cells), default=0)
+    blocks = [linalg.image_block(curve.osc_rows(p, order), m_rows, center.field) for p in points]
+    k = len(m_rows)
+    return {
+        alpha: sum(c >= k for c in stacked_pivots(blocks, alpha, center.field)) for alpha in cells
+    }
+
+
+def per_cell_jet_rank(space, alpha) -> int:
+    """Jet rank at one cell: the rank of the window columns of alpha on their own."""
+    n = space.ambient.truncation
+    keep = [i * n + k for i, a in enumerate(alpha) for k in range(a)]
+    if not keep or not space.pivots:
+        return 0
+    return linalg.rank(_columns(space._rows, keep), space.field)

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from gapcurve.gaps import (
     key_lemma_holds,
 )
 from gapcurve.series import Ambient, SeriesSubspace, TruncatedSeries
+
+from conftest import per_cell_jet_rank
 
 
 def monomial_space(field, r, n, exponent_sets, with_unit=True):
@@ -375,3 +378,38 @@ def test_helper_lemma_on_standard_gaps():
             )
             if dominated_ok:
                 assert gap(alpha) <= gamma
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, GF(3), GF(101), GF(2**31 - 1)], ids=["QQ", "p3", "p101", "p2^31-1"]
+)
+def test_line_filled_memo_matches_per_cell_jet_rank(field):
+    """A miss fills the whole window line below the cell from one elimination.
+
+    Every memo entry, filled or asked for, equals |alpha| minus the per-cell
+    jet rank, and so does jet_rank itself, for r = 1..4 and cells asked for
+    in a random order."""
+    rng = random.Random(20261020)
+    filled = False
+    for r in (1, 2, 3, 4):
+        for _ in range(3):
+            n = rng.randrange(2, 6)
+            amb = Ambient(field, r, n)
+            sparse = rng.random() < 0.5
+            vecs = [
+                [field.random_element(rng) if not sparse or rng.random() < 0.3 else field.zero
+                 for _ in range(amb.width)]
+                for _ in range(rng.randrange(1, amb.width + 1))
+            ]
+            space = SeriesSubspace.span(amb, vecs)
+            gap = GapFunction(space, VECTOR_SPACE)
+            cells = list(product(range(n + 1), repeat=r))
+            rng.shuffle(cells)
+            for alpha in cells[:40]:
+                want = sum(alpha) - per_cell_jet_rank(space, alpha)
+                assert gap(alpha) == want, alpha
+                assert space.jet_rank(alpha) == per_cell_jet_rank(space, alpha), alpha
+            for alpha, value in gap._memo.items():
+                assert value == sum(alpha) - per_cell_jet_rank(space, alpha), alpha
+            filled |= len(gap._memo) > len(cells[:40])
+    assert filled  # the lines filled cells nobody asked for

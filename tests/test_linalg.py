@@ -10,7 +10,7 @@ from gapcurve import linalg
 from gapcurve.errors import ValidationError
 from gapcurve.fields import GF, QQ
 
-from conftest import field_rref, independent_rank
+from conftest import field_rref, independent_rank, stacked_pivots
 
 
 def random_matrix(field, rng, nrows, ncols):
@@ -131,8 +131,8 @@ def _matrices(draw, field, ncols):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_elimination_matches_field_oracle(field, data):
-    """rref, rank and stacked_pivots agree exactly with a Gauss–Jordan over
-    field elements, zero-width rows included."""
+    """rref, rank, the stacked-block oracle and row insertion agree exactly
+    with a Gauss–Jordan over field elements, zero-width rows included."""
     ncols = data.draw(st.integers(0, 6))
     rows = data.draw(_matrices(field, ncols))
     want_rows, want_pivots = field_rref(rows, field)
@@ -148,13 +148,18 @@ def test_elimination_matches_field_oracle(field, data):
     counts = data.draw(st.tuples(st.integers(0, len(rows)), st.integers(0, len(rows))))
     stacked = extended[: counts[0]] + extended[: counts[1]]
     want = field_rref(stacked, field)[1]
-    assert linalg.stacked_pivots([block, block], counts, field) == want
+    assert stacked_pivots([block, block], counts, field) == want
+    state = {}
+    for i, row in enumerate(block):  # every prefix of the rows, one insertion each
+        linalg.insert_row(state, row, field.characteristic)
+        assert sorted(state) == field_rref(extended[: i + 1], field)[1]
 
 
 @pytest.mark.parametrize("field", [GF(2**31 - 1), QQ], ids=["p2^31-1", "QQ"])
 def test_image_block_and_stacked_pivots(field):
     """[J·Mᵀ | J] is exact with residues next to 2^31, and the pivots of a
-    stack split into rank(F·Mᵀ) before column k and rank F in total."""
+    stack split into rank(F·Mᵀ) before column k and rank F in total, whether
+    the stack is eliminated at once or inserted row by row."""
     rng = random.Random(5)
     width, k = 9, 5
 
@@ -171,7 +176,11 @@ def test_image_block_and_stacked_pivots(field):
         image = [sum((a * b for a, b in zip(row, m)), field.zero) for m in m_rows]
         assert got == image + row
     for counts in ([5], [3], [0], [2]):
-        pivots = linalg.stacked_pivots([block], counts, field)
+        pivots = stacked_pivots([block], counts, field)
+        state = {}
+        for row in block[: counts[0]]:
+            linalg.insert_row(state, row, field.characteristic)
+        assert sorted(state) == pivots
         f_rows = j_rows[: counts[0]]
         image_rows = [r[:k] for r in as_field[: counts[0]]]
         assert len(pivots) == linalg.rank(f_rows, field)

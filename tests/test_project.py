@@ -1,8 +1,11 @@
+import ast
 import os
 import random
+import re
 import subprocess
 import sys
-from itertools import combinations
+from dataclasses import replace
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +36,9 @@ from gapcurve.project import (
     verify_genus_bound,
 )
 from gapcurve.schubert import sample_center, stratum_spec
+from gapcurve.series import SeriesSubspace
+
+from conftest import per_cell_flag_dims, per_cell_jet_rank
 
 F = GF(10007)
 
@@ -635,7 +641,7 @@ def test_analyze_with_clusters(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# dual path: one elimination per cell against the intersection_dim oracle
+# dual path: the flag walk against the intersection_dim oracle
 
 
 def _random_center_near(curve, points, ell, rng):
@@ -655,12 +661,14 @@ def _random_center_near(curve, points, ell, rng):
 
 
 def _assert_flag_dims_match_oracle(center, curve, points, order):
-    flag_dim = _flag_dims(center, curve, points, order)
+    cells = list(simplex(order, len(points)))
+    flag = _flag_dims(center, curve, points, cells)
+    assert sorted(flag) == cells
     filt = Multifiltration(curve, points)
     values = set()
-    for alpha in simplex(order, len(points)):
+    for alpha in cells:
         want = linalg.intersection_dim(center.rows, filt.subspace_rows(alpha), center.field)
-        assert flag_dim(alpha) == want, (alpha, points)
+        assert flag[alpha] == want, (alpha, points)
         values.add(want)
     return values
 
@@ -685,7 +693,7 @@ def test_flag_dims_match_intersection_oracle(field, d):
     assert max(values) >= 2  # the cells reach nontrivial intersections
 
 
-def _named_model(curve, names, precision):
+def _named_model(curve, names, precision, genus=0):
     """A user model from the curve's monomial expansions at the named points."""
     d = curve.degree
     tables = {}
@@ -695,7 +703,7 @@ def _named_model(curve, names, precision):
             row = [0] * (d + 1)
             row[k] = 1
             tables[name].append(list(curve.local_expansion(row, point, precision).coeffs[0]))
-    return ExpansionCurveModel(curve.field, d + 1, d, 0, tables)
+    return ExpansionCurveModel(curve.field, d + 1, d, genus, tables)
 
 
 def test_flag_dims_match_intersection_oracle_user_model():
@@ -715,6 +723,109 @@ def _tangent_oracle(center, curve, points):
         linalg.intersection_dim(center.rows, curve.osc_rows(p, 2), center.field) >= 1
         for p in points
     ]
+
+
+def _distinct_points(curve, r, rng):
+    field = curve.field
+    small = field != QQ and field.p <= r  # too few affine points without (1:0)
+    points = [curve.point(1, 0)] if small or rng.random() < 0.5 else []
+    while len(points) < r:
+        a = rng.randrange(-50, 50) if field == QQ else field.random_element(rng)
+        if curve.point(a, 1) not in points:
+            points.append(curve.point(a, 1))
+    return points
+
+
+def _tangent_cells(r):
+    return [tuple(2 * (j == i) for j in range(r)) for i in range(r)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "field", [QQ, GF(3), GF(101), GF(2**31 - 1)], ids=["QQ", "p3", "p101", "p2^31-1"]
+)
+def test_flag_walk_matches_per_cell_oracle(field, r):
+    """The row-insertion walk gives every cell the value of its own elimination:
+    the whole compared simplex, sparse cells in any order, and lone cells."""
+    rng = random.Random(9100 + r)
+    values = set()
+    for d in (2,) if field == GF(3) else (5, 7):  # the built-in curve needs p > d
+        curve = RationalNormalCurve(field, d)
+        for _ in range(3):
+            points = _distinct_points(curve, r, rng)
+            center = _random_center_near(curve, points, rng.randint(1, min(3, d)), rng)
+            cells = list(simplex(d + 1, r))
+            want = per_cell_flag_dims(center, curve, points, cells)
+            assert _flag_dims(center, curve, points, cells + _tangent_cells(r)) == want
+            sparse = rng.sample(cells, len(cells) // 3)
+            assert _flag_dims(center, curve, points, sparse) == {a: want[a] for a in sparse}
+            lone = rng.choice(cells)
+            assert _flag_dims(center, curve, points, [lone]) == {lone: want[lone]}
+            values.update(want.values())
+    assert max(values) >= 1
+
+
+def test_flag_walk_matches_per_cell_oracle_positive_genus(monkeypatch):
+    """A user model of genus 3 at d = 6 compares the cells |alpha| <= 1 only, so
+    the tangent cells 2·e_i lie outside the compared simplex and the walk adds
+    them; their values and the tangent flags match the per-cell route."""
+    curve = RationalNormalCurve(F, 6)
+    names = {"P": curve.point(1, 0), "Q": curve.point(3, 1), "R": curve.point(11, 1)}
+    model = _named_model(curve, names, 16, genus=3)
+    assert model.degree + 1 - 2 * model.genus == 1
+    walks = []
+    real = project._flag_dims
+
+    def spy(center, curve, points, cells):
+        out = real(center, curve, points, cells)
+        walks.append((center, points, list(cells), out))
+        return out
+
+    cusp = sample_center(stratum_spec("1.1", [names["P"]], curve, 2), 5, curve)
+    node = sample_center(stratum_spec("1.2", [names["Q"], names["R"]], curve, 2), 5, curve)
+    tangents = set()
+    monkeypatch.setattr(project, "_flag_dims", spy)
+    for center, clusters in [(cusp, [["P"], ["Q"]]), (node, [["Q", "R"], ["P"]])]:
+        for report in analyze_at_points(center, model, clusters):
+            assert report.tangent == _tangent_oracle(center, model, report.points)
+            tangents.update(report.tangent)
+    assert tangents == {True, False}
+    for center, points, cells, out in walks:
+        tangent_cells = _tangent_cells(len(points))
+        assert not set(tangent_cells) & set(simplex(1, len(points)))
+        assert set(tangent_cells) <= set(cells)
+        assert out == per_cell_flag_dims(center, model, points, sorted(set(cells)))
+
+
+@pytest.mark.parametrize(
+    "field", [GF(101), GF(2**31 - 1)], ids=["p101", "p2^31-1"]
+)
+def test_flag_walk_matches_per_cell_oracle_on_schubert_chains(field):
+    """The Schubert samplers' chains (r = 1..4 at d = 8, ell = 3) through the walk."""
+    curve = RationalNormalCurve(field, 8)
+    rng = random.Random(77)
+    seen = set()
+    for stype in enumerate_types():
+        points = _distinct_points(curve, stype.branches, rng)
+        spec = stratum_spec(stype, points, curve, 3)
+        center = sample_center(spec, rng.randrange(10**6), curve)
+        want = per_cell_flag_dims(center, curve, spec.points, spec.chain)
+        assert _flag_dims(center, curve, spec.points, spec.chain) == want, stype.label
+        seen.add(stype.branches)
+    assert seen == {1, 2, 3, 4}
+
+
+def test_flag_walk_matches_per_cell_oracle_on_schubert_chains_over_q():
+    curve = RationalNormalCurve(QQ, 5)
+    rng = random.Random(78)
+    for stype in enumerate_types():
+        if stype.delta > 2:
+            continue
+        points = _distinct_points(curve, stype.branches, rng)
+        spec = stratum_spec(stype, points, curve, 2)
+        center = sample_center(spec, rng.randrange(10**6), curve)
+        want = per_cell_flag_dims(center, curve, spec.points, spec.chain)
+        assert _flag_dims(center, curve, spec.points, spec.chain) == want, stype.label
 
 
 def test_tangent_flags_match_intersection_oracle_over_q():
@@ -947,3 +1058,133 @@ def test_analysis_commutes_with_pgl2(field, d, ell, entry):
             return curve.point(al * q.a + be * q.b, ga * q.a + de * q.b)
 
         assert _outcome(moved, curve) == _outcome(center, curve, move), stype.label
+
+
+# ---------------------------------------------------------------------------
+# the dual path compares every cell; relabelled points permute the report
+
+
+def _sampled(label, coords, d=8, ell=3, seed=5):
+    curve = RationalNormalCurve(F, d)
+    points = [curve.point(*c) for c in coords]
+    return sample_center(stratum_spec(label, points, curve, ell), seed, curve), curve, points
+
+
+def _mismatch(excinfo):
+    """(alpha, series value, flag value) from a dual-path mismatch message."""
+    m = re.search(r"alpha=(\([\d, ]*\)): series (\d+) vs flag (\d+)", str(excinfo.value))
+    return ast.literal_eval(m.group(1)), int(m.group(2)), int(m.group(3))
+
+
+def test_dual_path_check_names_a_cell_of_a_corrupted_flag_block(monkeypatch):
+    """One corrupted row of one point's block [J·Mᵀ | J] makes the check raise at
+    a cell where the per-cell route, given the same block, differs too."""
+    center, curve, points = _sampled("2.2.a", [(5, 1), (1, 0)])
+    cells = list(simplex(center.degree + 1, 2))
+    clean = per_cell_flag_dims(center, curve, points, cells)
+    real = linalg.image_block
+
+    def corrupted(rows, m_rows, field):
+        block = real(rows, m_rows, field)
+        if rows == curve.osc_rows(points[1], len(rows)):
+            block = block.copy()
+            block[2, : len(m_rows)] = 0  # row 2 of the second point's block loses its image
+        return block
+
+    monkeypatch.setattr(linalg, "image_block", corrupted)
+    bad = per_cell_flag_dims(center, curve, points, cells)
+    with pytest.raises(GapcurveError, match="dual-path mismatch") as excinfo:
+        analyze(center, curve, clusters=[points])
+    alpha, series_val, flag_val = _mismatch(excinfo)
+    assert (series_val, flag_val) == (clean[alpha], bad[alpha]) and clean[alpha] != bad[alpha]
+
+
+def test_dual_path_check_names_a_cell_of_a_corrupted_series_row(monkeypatch):
+    """One corrupted row of the series span makes the check raise at a cell where
+    the per-cell jet rank of the corrupted span differs from the flag."""
+    center, curve, points = _sampled("3.3.a", [(5, 1), (1, 0), (17, 1)])
+    cells = list(simplex(center.degree + 1, 3))
+    flag = per_cell_flag_dims(center, curve, points, cells)
+    spans = []
+
+    def corrupted(space, kind):
+        rows = space._rows.copy()
+        rows[1] = rows[0]  # the span loses its second row
+        spans.append(SeriesSubspace(space.ambient, rows, space.pivots))
+        return GapFunction(spans[-1], kind)
+
+    monkeypatch.setattr(project, "GapFunction", corrupted)
+    with pytest.raises(GapcurveError, match="dual-path mismatch") as excinfo:
+        analyze(center, curve, clusters=[points])
+    alpha, series_val, flag_val = _mismatch(excinfo)
+    assert series_val == sum(alpha) - per_cell_jet_rank(spans[-1], alpha)
+    assert flag_val == flag[alpha] != series_val
+
+
+def test_dual_path_check_compares_every_cell(monkeypatch):
+    """An off-by-one flag value at any one cell of |alpha| <= d + 1 is caught and named."""
+    center, curve, points = _sampled("2.2.b", [(1, 0), (4, 1)], d=5, ell=2)
+    cells = list(simplex(center.degree + 1, 2))
+    real = project._flag_dims
+    for target in cells:
+
+        def off_by_one(*args, target=target):
+            out = real(*args)
+            out[target] += 1
+            return out
+
+        monkeypatch.setattr(project, "_flag_dims", off_by_one)
+        with pytest.raises(GapcurveError, match="dual-path mismatch") as excinfo:
+            analyze(center, curve, clusters=[points])
+        assert _mismatch(excinfo)[0] == target
+
+
+def _permuted(alpha, perm):
+    return tuple(alpha[i] for i in perm)
+
+
+def _assert_permuted_report(base, got, perms, rename=None):
+    """got's clusters are base's with points renamed and in the orders perms;
+    all else is equal."""
+    assert replace(got, clusters=[]) == replace(base, clusters=[])
+    assert len(got.clusters) == len(base.clusters)
+    for cl, g, perm in zip(base.clusters, got.clusters, perms):
+        assert g.points == [(rename or {}).get(cl.points[i], cl.points[i]) for i in perm]
+        assert g.tangent == [cl.tangent[i] for i in perm]
+        samples = {_permuted(alpha, perm): v for alpha, v in cl.lambda_samples.items()}
+        assert g.lambda_samples == samples
+        rest = dict(points=[], tangent=[], lambda_samples={})
+        assert replace(g, **rest) == replace(cl, **rest)
+
+
+def test_permuted_cluster_points_permute_the_report():
+    """Every order of a named cluster's points permutes the flag table, the
+    lambda samples and the tangent flags, and leaves the rest of the report as is."""
+    center, curve, points = _sampled("3.3.a", [(2, 1), (1, 0), (7, 1)], seed=11)
+    base = analyze(center, curve, clusters=[points])
+    cells = list(simplex(center.degree + 1, 3))
+    flag = _flag_dims(center, curve, points, cells)
+    assert set(base.clusters[0].tangent) == {True, False}
+    for perm in permutations(range(3)):
+        moved = [points[i] for i in perm]
+        got = analyze(center, curve, clusters=[moved])
+        _assert_permuted_report(base, got, [perm])
+        moved_flag = _flag_dims(center, curve, moved, [_permuted(a, perm) for a in cells])
+        assert moved_flag == {_permuted(a, perm): v for a, v in flag.items()}
+
+
+def test_relabelled_expansion_table_permutes_the_report():
+    """Renaming the points of a user table and listing them in another order
+    permutes each cluster and changes nothing else."""
+    curve = RationalNormalCurve(F, 6)
+    names = {"P": curve.point(1, 0), "Q": curve.point(3, 1), "R": curve.point(11, 1)}
+    model = _named_model(curve, names, 16)
+    rename = {"P": "Z", "Q": "X", "R": "Y"}
+    renamed = ExpansionCurveModel(
+        F, model.dim_w, model.degree, 0, {rename[k]: model._tables[k] for k in names}
+    )
+    node = sample_center(stratum_spec("1.2", [names["Q"], names["R"]], curve, 2), 5, curve)
+    base = analyze(node, model, clusters=[["Q", "R"], ["P"]])
+    got = analyze(node, renamed, clusters=[["Y", "X"], ["Z"]])
+    assert [cl.type_label for cl in base.clusters] == ["1.2", "Smooth"]
+    _assert_permuted_report(base, got, [(1, 0), (0,)], rename)
