@@ -159,7 +159,7 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 
 def _primitive(cs):
     """The primitive integer multiple of a nonzero list of rationals."""
-    den = reduce(lcm, (c.denominator for c in cs), 1)  # no starred tuples, as linalg._integer_rows
+    den = reduce(lcm, (c.denominator for c in cs), 1)  # no starred tuples, as linalg.matrix
     ints = [c.numerator * (den // c.denominator) for c in cs]
     content = reduce(int_gcd, ints, 0)
     return [c // content for c in ints]

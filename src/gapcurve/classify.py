@@ -374,11 +374,12 @@ def canonical_fingerprint(gap: GapFunction, delta: int):
     """Gap values on the determining window, minimized over branch permutations."""
     r = gap.arity
     cells = list(simplex(2 * delta, r, minimum=1))  # |alpha| <= 2*delta determines lambda
-    best = None
-    for perm in permutations(range(r)):
-        vals = tuple(gap(tuple(alpha[perm[i]] for i in range(r))) for alpha in cells)
-        if best is None or vals < best:
-            best = vals
+    # the cells are closed under permutation; each window line is asked from its top
+    values = {alpha: gap(alpha) for alpha in reversed(cells)}
+    best = min(
+        tuple(values[tuple(alpha[perm[i]] for i in range(r))] for alpha in cells)
+        for perm in permutations(range(r))
+    )
     return (delta, r, best)
 
 
@@ -416,11 +417,12 @@ def classify_ring(gap: GapFunction) -> SingularityType:
     delta = gap.degree()
     if delta == 0:
         return smooth_type(gap.arity)
+    # asked before is_standard: the fingerprint's window lines top its cells
+    fp = canonical_fingerprint(gap, delta) if delta <= 3 else None
     if not gap.is_standard():
         raise ClassificationError("gap function is not standard")
     if delta > 3:
         raise UnclassifiedDeltaError(delta)
-    fp = canonical_fingerprint(gap, delta)
     label = _fingerprints().get(fp)
     if label is None:
         raise ClassificationError(

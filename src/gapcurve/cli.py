@@ -420,7 +420,7 @@ def _cmd_fuzz_key_lemma(job: JobSpec):
             continue
         if delta > max_delta:
             continue
-        for gamma in (delta, delta + 1):
+        for gamma in (delta + 1, delta):  # the larger bound's window lines top the other's
             if gap.truncation < 2 * gamma + 2:
                 continue
             if not key_lemma_holds(gap, gamma):

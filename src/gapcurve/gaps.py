@@ -17,13 +17,16 @@ from __future__ import annotations
 
 from itertools import product
 
+import numpy as np
+
+from . import linalg
 from .errors import (
     MissingUnitError,
     NotStabilizedError,
     StabilizationCapError,
     ValidationError,
 )
-from .series import SeriesSubspace, _echelon, _products
+from .series import SeriesSubspace, _products
 
 VECTOR_SPACE = "vector-space"
 ALGEBRA_CLOSED = "algebra-closed"
@@ -77,11 +80,12 @@ class GapFunction:
         if self.truncation < 2:
             raise NotStabilizedError("standardness needs truncation >= 2")
         r = self.arity
+        ones = self((1,) * r)  # first: at r = 2 its window line holds e_1
         for i in range(r):
             e = tuple(1 if j == i else 0 for j in range(r))
             if self(e) != 0:
                 return False
-        return self((1,) * r) == r - 1
+        return ones == r - 1
 
     def degree(self) -> int:
         """delta = sup of the gap function, certified at the truncation corner.
@@ -94,10 +98,11 @@ class GapFunction:
             raise ValidationError("degree is defined for algebra-closed backends")
         n = self.truncation
         r = self.arity
-        corner = (n - 1,) * r
-        d = self(corner)
-        for i in range(r):
-            bumped = tuple(n if j == i else n - 1 for j in range(r))
+        # the last bump tops the corner's window line: asked first, one elimination
+        bumps = [tuple(n if j == i else n - 1 for j in range(r)) for i in reversed(range(r))]
+        self(bumps[0])
+        d = self((n - 1,) * r)
+        for bumped in bumps:
             if self(bumped) != d:
                 raise NotStabilizedError(
                     f"gap value still moving at the truncation corner (N={n})"
@@ -160,7 +165,7 @@ def close_algebra(space: SeriesSubspace) -> SeriesSubspace:
     exact as a jet image of the generated subalgebra at the ambient precision.
 
     Rounds multiply only the frontier by the input generators R0 and run one
-    rref.  The frontier is the rows with new pivots, a complement N of the old
+    echelon.  The frontier is the rows with new pivots, a complement N of the old
     span T, and T.R0 lies in T + N.R0, so the loop ends once T.R0 lies in T.
     """
     if not space.contains_unit():
@@ -168,13 +173,14 @@ def close_algebra(space: SeriesSubspace) -> SeriesSubspace:
             "subspace contains no unit of S (all-branch nonzero constant term)"
         )
     ambient = space.ambient
-    generators = rows = space._rows
+    p = ambient.field.characteristic
+    frontier = generators = rows = space._rows
     pivots = space.pivots
-    frontier = list(generators)
-    while frontier:
+    while len(frontier):
         old = set(pivots)
-        rows, pivots = _echelon(ambient, rows, _products(ambient, frontier, generators))
-        frontier = [row for row, pc in zip(rows, pivots) if pc not in old]
+        products = _products(frontier, generators, ambient.branches, p)
+        rows, pivots = linalg.echelon(np.vstack([rows, products]), p)
+        frontier = rows[[pc not in old for pc in pivots]]
     return SeriesSubspace(ambient, rows, pivots)
 
 
@@ -221,7 +227,9 @@ def close_and_stabilize(builder, start_truncation: int, cap: int = TRUNCATION_CA
     """Close an algebra and certify its degree, escalating the truncation.
 
     ``builder(N)`` must return (ambient, vectors) regenerated at precision N;
-    over F_p the vectors may be one int64 residue array of flat rows.
+    the vectors may be one array of flat rows from ``linalg.matrix`` (int64
+    residues over F_p, integer rows over Q, each any nonzero multiple of its
+    vector).
     Doubles N on stabilization failures, up to ``cap``.  Returns (span, closed
     subspace, gap function, delta); span is the vectors' span at the final N, so
     a caller never builds or spans them again.

@@ -2,9 +2,9 @@
 
 Matrices are lists of rows, rows are lists of field elements.  All routines
 are exact.  Every elimination runs in one fraction-free numpy kernel,
-``_eliminate``: over a prime field on int64 residues mod p, over the
-rationals on rows scaled into integers (Python ints in an object array).
-Reduced forms divide by each pivot once, at the end.
+``_eliminate``, on one array from ``matrix``: over a prime field int64
+residues mod p, over the rationals rows scaled into integers (Python ints in
+an object array).  Reduced forms divide by each pivot once, at the end.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ValidationError
-from .fields import GFElement, PrimeField
+from .fields import GFElement
 
 
 # ---------------------------------------------------------------------------
@@ -58,16 +58,17 @@ def _eliminate(a: np.ndarray, p: int, full: bool) -> list:
             rows, lo = (r + nz[1:] if nz.size > 1 else ()), c
         if len(rows):
             new = a[rows, lo:] * a[r, c] - np.outer(a[rows, c], a[r, lo:])
-            if p:
-                new %= p
-            else:
-                content = np.gcd.reduce(new, axis=1)
-                content[content == 0] = 1
-                new //= content[:, None]
-            a[rows, lo:] = new
+            a[rows, lo:] = new % p if p else _primitive(new)
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _primitive(a: np.ndarray) -> np.ndarray:
+    """Each row of an integer array divided by its content; zero rows stay."""
+    content = np.gcd.reduce(a, axis=1)
+    content[content == 0] = 1
+    return a // content[:, None]
 
 
 def insert_row(rows: dict, v: np.ndarray, p: int) -> None:
@@ -94,38 +95,63 @@ def insert_row(rows: dict, v: np.ndarray, p: int) -> None:
         nz = v.nonzero()[0]
 
 
-def gfp_rref(a: np.ndarray, p: int):
-    """Reduced row echelon form mod p of a copy of a.  Returns (rref, pivot cols).
+def echelon(a: np.ndarray, p: int):
+    """(rows, pivot cols): the echelon form of a copy of an array from ``matrix``.
 
-    One inverse per pivot row, after the fraction-free elimination."""
-    a = np.asarray(a, dtype=np.int64) % p
+    p > 0: the RREF mod p, with one inverse per pivot row after the
+    fraction-free elimination.  p = 0: primitive integer rows, each a multiple
+    of its RREF row; ``elements`` divides each row by its pivot where field
+    elements are needed.
+    """
+    a = a % p if p else a.copy()
     pivots = _eliminate(a, p, True)
     a = a[: len(pivots)]
+    if not p:
+        return _primitive(a), pivots
     inverses = [pow(int(a[i, c]), -1, p) for i, c in enumerate(pivots)]
     return a * np.array(inverses, dtype=np.int64)[:, None] % p, pivots
 
 
-def gfp_pivots(a: np.ndarray, p: int) -> list:
-    """Pivot columns of the RREF of a mod p, by forward elimination only."""
-    return _eliminate(np.asarray(a, dtype=np.int64) % p, p, False)
+def matrix(rows, field, ncols: int) -> np.ndarray:
+    """Rows of field elements as one array for the elimination kernel.
 
-
-def gfp_matrix(rows, ncols: int) -> np.ndarray:
-    out = np.zeros((len(rows), ncols), dtype=np.int64)
+    Over F_p: int64 residues.  Over Q: an object array of Python ints, each
+    row scaled into Z by the lcm of its denominators, so the row space is
+    unchanged.
+    """
+    if field.characteristic:
+        out = np.zeros((len(rows), ncols), dtype=np.int64)
+        for i, row in enumerate(rows):
+            out[i] = [x.value for x in row]
+        return out
+    out = np.zeros((len(rows), ncols), dtype=object)
     for i, row in enumerate(rows):
-        out[i] = [x.value for x in row]
+        # not lcm(*generator): each call would leave a resized tuple in the
+        # interpreter's tuple free lists, about 1 MB over a Q workload
+        scale = functools.reduce(math.lcm, (x.denominator for x in row), 1)
+        out[i] = [x.numerator * (scale // x.denominator) for x in row]
     return out
 
 
-def gfp_elements(a: np.ndarray, field) -> list:
-    """The rows of a residue array as lists of field elements (the inverse of gfp_matrix)."""
-    return [[GFElement(field, x) for x in row] for row in a.tolist()]
+def elements(a: np.ndarray, field) -> list:
+    """The rows of an array from ``matrix`` or ``echelon`` as lists of field
+    elements: over F_p the residues; over Q each row divided by its first
+    nonzero entry, which turns an echelon row into its RREF row."""
+    if field.characteristic:
+        return [[GFElement(field, x) for x in row] for row in a.tolist()]
+    out = []
+    for row in a.tolist():
+        lead = next((x for x in row if x), 1)
+        out.append([Fraction(x, lead) for x in row])
+    return out
 
 
-def gfp_dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """A·Bᵀ mod p.  Every product of two residues (below 2^62 for p < 2^31) is
-    reduced before summing, so a sum of n terms stays below n·p and is exact."""
-    return (a[:, None, :] * b[None, :, :] % p).sum(axis=2) % p
+def dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """A·Bᵀ of two arrays from ``matrix``.  p > 0: every product of two residues
+    (below 2^62 for p < 2^31) is reduced before summing, so a sum of n terms
+    stays below n·p and is exact.  p = 0: Python ints."""
+    prod = a[:, None, :] * b[None, :, :]
+    return (prod % p).sum(axis=2) % p if p else prod.sum(axis=2)
 
 
 def batch_inverse(vals: np.ndarray, p: int) -> np.ndarray:
@@ -147,44 +173,25 @@ def batch_inverse(vals: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _integer_rows(rows) -> np.ndarray:
-    """Rows of rationals as an object array of Python ints, each row scaled
-    into Z by the lcm of its denominators (the row space is unchanged)."""
-    out = []
-    for row in rows:
-        # not lcm(*generator): each call would leave a resized tuple in the
-        # interpreter's tuple free lists, about 1 MB over a Q workload
-        scale = functools.reduce(math.lcm, (x.denominator for x in row), 1)
-        out.append([x.numerator * (scale // x.denominator) for x in row])
-    return np.array(out, dtype=object).reshape(len(rows), len(rows[0]) if rows else 0)
-
-
 def rref(rows, field):
     """Reduced row echelon form; returns (rows without zero rows, pivot cols)."""
     if not rows:
         return [], []
-    if isinstance(field, PrimeField):
-        a, piv = gfp_rref(gfp_matrix(rows, len(rows[0])), field.p)
-        return gfp_elements(a, field), piv
-    a = _integer_rows(rows)
-    piv = _eliminate(a, 0, True)
-    return [[Fraction(x, row[c]) for x in row] for row, c in zip(a.tolist(), piv)], piv
+    a, piv = echelon(matrix(rows, field, len(rows[0])), field.characteristic)
+    return elements(a, field), piv
 
 
 def pivots(rows, field) -> list:
-    """RREF pivot columns of a list of rows, or over F_p also of an int64
-    residue array, by forward elimination only."""
+    """RREF pivot columns of rows of field elements, or of an array from
+    ``matrix`` (left unchanged), by forward elimination only."""
     if len(rows) == 0:
         return []
-    if not isinstance(field, PrimeField):
-        return _eliminate(_integer_rows(rows), 0, False)
-    if not isinstance(rows, np.ndarray):
-        rows = gfp_matrix(rows, len(rows[0]))
-    return gfp_pivots(rows, field.p)
+    a = rows.copy() if isinstance(rows, np.ndarray) else matrix(rows, field, len(rows[0]))
+    return _eliminate(a, field.characteristic, False)
 
 
 def rank(rows, field) -> int:
-    """Rank of a list of rows, or over F_p also of an int64 residue array."""
+    """Rank of rows of field elements, or of an array from ``matrix``."""
     return len(pivots(rows, field))
 
 
@@ -238,15 +245,13 @@ def image_block(rows, m_rows, field):
     rank(F·Mᵀ), all pivots count rank F, and the pivots at index >= k count
     dim(F ∩ ker Mᵀ).
 
-    Over F_p the block is one int64 residue array, with J·Mᵀ from
-    ``gfp_dot``.  Over the rationals it is an object array of integer rows,
-    each row of the block scaled into Z.
+    J and M become arrays from ``matrix`` and J·Mᵀ comes from ``dot``.  Over
+    the rationals the rows of J and M are scaled into Z one by one; that
+    scales rows of the block and columns of J·Mᵀ, and moves no pivot.
     """
-    if isinstance(field, PrimeField):
-        j = gfp_matrix(rows, len(m_rows[0]))
-        return np.hstack([gfp_dot(j, gfp_matrix(m_rows, len(m_rows[0])), field.p), j])
-    images = _dot_rows(rows, m_rows, field)
-    return _integer_rows([image + list(row) for image, row in zip(images, rows)])
+    n = len(m_rows[0])
+    j = matrix(rows, field, n)
+    return np.hstack([dot(j, matrix(m_rows, field, n), field.characteristic), j])
 
 
 def _dot_rows(a_rows, b_rows, field):

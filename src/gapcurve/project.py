@@ -52,7 +52,7 @@ from .errors import (
 )
 from .fields import PrimeField
 from .gaps import TRUNCATION_CAP, VECTOR_SPACE, GapFunction, close_and_stabilize, simplex
-from .series import Ambient, TruncatedSeries, _gfp_inverse, _gfp_products
+from .series import Ambient, TruncatedSeries, _gfp_inverse, _products
 
 
 class ProjectionCenter:
@@ -232,7 +232,7 @@ def _ramification_scan_gfp(center: ProjectionCenter, curve):
             f"the F_p scan needs (d + 1)(p - 1)^2 < 2^63 for exact int64 images, and "
             f"d = {d}, p = {p} exceed it; name the clusters with 'clusters' instead"
         )
-    m = linalg.gfp_matrix(center.m_basis(), d + 1)
+    m = linalg.matrix(center.m_basis(), center.field, d + 1)
     rev = m[:, ::-1]  # f(a : 1) = sum_e rev[:, e] a^e
     a = np.arange(p, dtype=np.int64)
     powers = np.ones((d + 1, p), dtype=np.int64)
@@ -485,30 +485,32 @@ def _choose_section(center: ProjectionCenter, images, rng=None):
 
 
 def _cluster_series_builder(center, curve, points, s_coeffs):
-    """builder(N) -> (ambient, vectors): the subspace (1/s) M at precision N.
+    """builder(N) -> (ambient, vectors): the subspace (1/s) M at precision N, as
+    one array of the elimination kernel with a row m·s^-1 for each m in M.
 
     Each point's jet rows J_P are built once per N and expand s and every
-    section of M.  Over F_p the vectors are one int64 residue array.
+    section of M, side by side in one r·N row per section.  Over Q those rows
+    are scaled into Z one by one, and s^-1 is computed once as one r·N row and
+    scaled into Z by one common factor: a factor per branch would scale
+    columns, which changes the span once r >= 2.
     """
     field = center.field
+    p = field.characteristic
     m_rows = center.m_basis()
     r = len(points)
 
     def builder(n):
         amb = Ambient(field, r, n)
-        if isinstance(field, PrimeField):
-            # rows [s; M] of (1 + k, r·N) expansions; m/s is the product with s^-1
-            sections = linalg.gfp_matrix([s_coeffs, *m_rows], curve.dim_w)
-            jets = [linalg.gfp_matrix(curve.osc_rows(p, n), curve.dim_w) for p in points]
-            exps = np.hstack([linalg.gfp_dot(sections, j, field.p) for j in jets])
-            return amb, _gfp_products(exps[1:], _gfp_inverse(exps[:1], r, field.p), r, field.p)
-        amb_1 = Ambient(field, 1, n)
-        branches = []  # per point, the expansions of m/s for m in M
-        for p in points:
-            s_exp, *m_exps = _expansions(curve, [s_coeffs, *m_rows], p, n)
-            sinv = TruncatedSeries(amb_1, [s_exp]).inverse()
-            branches.append([(TruncatedSeries(amb_1, [e]) * sinv).coeffs[0] for e in m_exps])
-        return amb, [TruncatedSeries(amb, list(vector)) for vector in zip(*branches)]
+        if p:
+            sections = linalg.matrix([s_coeffs, *m_rows], field, curve.dim_w)
+            jets = [linalg.matrix(curve.osc_rows(q, n), field, curve.dim_w) for q in points]
+            exps = np.hstack([linalg.dot(sections, j, p) for j in jets])
+            return amb, _products(exps[1:], _gfp_inverse(exps[:1], r, p), r, p)
+        per_point = [_expansions(curve, [s_coeffs, *m_rows], q, n) for q in points]
+        s_exp, *m_exps = [sum(row, []) for row in zip(*per_point)]
+        sinv = TruncatedSeries.from_flat(amb, s_exp).inverse().flat()
+        m = linalg.matrix(m_exps, field, amb.width)
+        return amb, _products(m, linalg.matrix([sinv], field, amb.width), r, p)
 
     return builder
 

@@ -2,9 +2,11 @@
 
 The ambient ring is a product of r truncated polynomial rings
 K[t_1]/(t_1^N) x ... x K[t_r]/(t_r^N), with one uniform truncation order N.
-Elements are coefficient tables; subspaces are kept in reduced echelon form
-with respect to the monomial order (branch ascending, exponent ascending),
-so the unit and low-valuation elements carry the earliest pivots.
+Elements are coefficient tables; subspaces are kept in echelon form with
+respect to the monomial order (branch ascending, exponent ascending), so the
+unit and low-valuation elements carry the earliest pivots.  A subspace holds
+its rows as one array of the elimination kernel in ``linalg``, int64 residues
+over F_p and integer rows over Q, and one code path serves both fields.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -17,7 +19,6 @@ from itertools import product
 import numpy as np
 
 from .errors import AmbientMismatchError, ValidationError
-from .fields import PrimeField
 from . import linalg
 
 
@@ -281,21 +282,25 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return a * b
 
 
-def _gfp_products(a: np.ndarray, b: np.ndarray, branches: int, p: int) -> np.ndarray:
-    """Every product a_i·b_j of two residue arrays of series rows, as row i·len(b) + j.
+def _products(a: np.ndarray, b: np.ndarray, branches: int, p: int) -> np.ndarray:
+    """Every product a_i·b_j of two arrays of series rows, as row i·len(b) + j.
 
     Branch-wise truncated convolution: N shifted multiply-adds over an
-    (f, g, r, N) array.  Each product of two residues stays below 2^62 for
-    p < 2^31, which PrimeField enforces, and is reduced mod p before it is
-    added, so a sum of N of them stays below N·p and is exact in int64.
+    (f, g, r, N) array.  p > 0: int64 residues.  Each product of two residues
+    stays below 2^62 for p < 2^31, which PrimeField enforces, and is reduced
+    mod p before it is added, so a sum of N of them stays below N·p and is
+    exact in int64.  p = 0: Python ints in object arrays, and each product row
+    is divided by its content, so it is a multiple of the product series.
     """
     n = a.shape[1] // branches
     x = a.reshape(len(a), 1, branches, n)
     y = b.reshape(1, len(b), branches, n)
-    out = np.zeros((len(a), len(b), branches, n), dtype=np.int64)
+    out = np.zeros((len(a), len(b), branches, n), dtype=a.dtype)
     for i in range(n):
-        out[..., i:] += x[..., i : i + 1] * y[..., : n - i] % p
-    return (out % p).reshape(len(a) * len(b), branches * n)
+        term = x[..., i : i + 1] * y[..., : n - i]
+        out[..., i:] += term % p if p else term
+    out = out.reshape(len(a) * len(b), branches * n)
+    return out % p if p else linalg._primitive(out)
 
 
 def _gfp_inverse(a: np.ndarray, branches: int, p: int) -> np.ndarray:
@@ -305,73 +310,50 @@ def _gfp_inverse(a: np.ndarray, branches: int, p: int) -> np.ndarray:
     x = np.zeros_like(a)
     x[0, ::n] = [pow(c, -1, p) for c in a[0, ::n].tolist()]
     for _ in range((n - 1).bit_length()):
-        e = -_gfp_products(a, x, branches, p) % p
+        e = -_products(a, x, branches, p) % p
         e[0, ::n] = (e[0, ::n] + 2) % p
-        x = _gfp_products(x, e, branches, p)
+        x = _products(x, e, branches, p)
     return x
 
 
-def _echelon(ambient: Ambient, *blocks):
-    """(rows, pivots): the RREF of the stacked blocks of rows, as one int64
-    residue array over F_p and as lists of Fractions over Q."""
-    field = ambient.field
-    if isinstance(field, PrimeField):
-        arrays = [linalg.gfp_matrix(b, ambient.width) if isinstance(b, list) else b for b in blocks]
-        return linalg.gfp_rref(np.vstack(arrays), field.p)
-    return linalg.rref([row for block in blocks for row in block], field)
-
-
-def _products(ambient, frontier, generators):
-    """Every product f·g, f in the frontier and g a generator, as flat rows in
-    the subspace representation (an int64 residue array over F_p)."""
-    field = ambient.field
-    if isinstance(field, PrimeField):
-        return _gfp_products(np.array(frontier), generators, ambient.branches, field.p)
-    gens = [TruncatedSeries.from_flat(ambient, g) for g in generators]
-    return [(TruncatedSeries.from_flat(ambient, f) * g).flat() for f in frontier for g in gens]
-
-
-def _columns(rows, cols):
-    if isinstance(rows, np.ndarray):
-        return rows[:, cols]
-    return [[row[c] for c in cols] for row in rows]
-
-
 class SeriesSubspace:
-    """A finite-dimensional subspace of the truncated ring, in reduced echelon form.
+    """A finite-dimensional subspace of the truncated ring, in echelon form.
 
-    Over F_p the rows are one int64 (dim x r·N) residue array; ``rows`` and
-    ``basis()`` box them into field elements for callers off the hot path.
+    The rows are one (dim x r·N) array of the elimination kernel
+    (``linalg.matrix``): over F_p the int64 residues of the RREF rows, over Q
+    primitive integer rows in an object array, each a multiple of its RREF
+    row.  Spans, products, closure and window ranks run on it alike for both
+    fields.  ``rows`` and ``basis()`` box it into field elements, dividing each
+    Q row by its pivot, for callers off the hot path.
     """
 
     __slots__ = ("ambient", "pivots", "_rows")
 
     def __init__(self, ambient: Ambient, rows, pivots):
         self.ambient = ambient
-        if isinstance(ambient.field, PrimeField) and not isinstance(rows, np.ndarray):
-            rows = linalg.gfp_matrix(rows, ambient.width)
+        if not isinstance(rows, np.ndarray):
+            rows = linalg.matrix(rows, ambient.field, ambient.width)
         self._rows = rows
         self.pivots = pivots
 
     @classmethod
     def span(cls, ambient: Ambient, vectors) -> "SeriesSubspace":
-        """Reduced echelon span; deterministic given the input order.
+        """Echelon span; deterministic given the input order.
 
-        Over F_p the vectors may also be one int64 residue array of flat rows.
+        The vectors may also be one array of flat rows from ``linalg.matrix``.
         """
         if not isinstance(vectors, np.ndarray):
             vectors = list(vectors)
             for v in vectors:
                 if isinstance(v, TruncatedSeries) and v.ambient != ambient:
                     raise AmbientMismatchError(f"{v.ambient} vs {ambient}")
-            vectors = [v.flat() if isinstance(v, TruncatedSeries) else list(v) for v in vectors]
-        return cls(ambient, *_echelon(ambient, vectors))
+            flat = [v.flat() if isinstance(v, TruncatedSeries) else list(v) for v in vectors]
+            vectors = linalg.matrix(flat, ambient.field, ambient.width)
+        return cls(ambient, *linalg.echelon(vectors, ambient.field.characteristic))
 
     @property
     def rows(self) -> list:
-        if isinstance(self._rows, np.ndarray):
-            return linalg.gfp_elements(self._rows, self.field)
-        return self._rows
+        return linalg.elements(self._rows, self.field)
 
     @property
     def dim(self) -> int:
@@ -387,7 +369,8 @@ class SeriesSubspace:
     def contains(self, series: TruncatedSeries) -> bool:
         if series.ambient != self.ambient:
             raise AmbientMismatchError(f"{series.ambient} vs {self.ambient}")
-        return len(_echelon(self.ambient, self._rows, [series.flat()])[1]) == self.dim
+        row = linalg.matrix([series.flat()], self.field, self.ambient.width)
+        return linalg.rank(np.vstack([self._rows, row]), self.field) == self.dim
 
     def contains_unit(self) -> bool:
         """Is some element of the subspace a unit of S?
@@ -398,20 +381,19 @@ class SeriesSubspace:
         subspace, and a space over F_q is not a union of r <= q proper
         subspaces; only p < r needs a search.
         """
-        n = self.ambient.truncation
         r = self.ambient.branches
-        u_rows, _ = _echelon(self.ambient, _columns(self._rows, [i * n for i in range(r)]))
+        p = self.field.characteristic
+        u_rows, _ = linalg.echelon(self._rows[:, :: self.ambient.truncation], p)
         # some coordinate identically zero on U (or U = 0): no unit
         if not all(any(row[i] for row in u_rows) for i in range(r)):
             return False
-        field = self.field
-        if not isinstance(field, PrimeField) or field.p >= r:
+        if not p or p >= r:
             return True
         # a combination of RREF rows carries its coefficients at the pivots,
         # so a vector without zero coordinates has all coefficients in F_p^*
         return any(
-            np.all(np.dot(coeffs, u_rows) % field.p)
-            for coeffs in product(range(1, field.p), repeat=len(u_rows))
+            np.all(np.dot(coeffs, u_rows) % p)
+            for coeffs in product(range(1, p), repeat=len(u_rows))
         )
 
     def jet_rank(self, alpha) -> int:
@@ -434,7 +416,7 @@ class SeriesSubspace:
             if a < 0 or a > n:
                 raise ValidationError(f"exponent vector {alpha} exceeds truncation N={n}")
         keep = [c for i, a in enumerate(alpha) for c in range(i * n, i * n + a)]
-        pivots = self.pivots if r == 1 else linalg.pivots(_columns(self._rows, keep), self.field)
+        pivots = self.pivots if r == 1 else linalg.pivots(self._rows[:, keep], self.field)
         base = len(keep) - alpha[-1]
         return [bisect_left(pivots, base + a) for a in range(alpha[-1] + 1)]
 

@@ -1,11 +1,11 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gapcurve import linalg
 from gapcurve.fields import GF, QQ
-from gapcurve.series import _columns
 
 
 @pytest.fixture(params=["rational", "Fp:10007", "Fp:101"])
@@ -102,10 +102,17 @@ def per_cell_flag_dims(center, curve, points, cells) -> dict:
     }
 
 
+def proportional(row, want) -> bool:
+    """Is the integer row one nonzero rational multiple of the row of rationals?"""
+    j = next(j for j, x in enumerate(want) if x)
+    c = Fraction(row[j]) / want[j]
+    return c != 0 and [Fraction(x) for x in row] == [c * x for x in want]
+
+
 def per_cell_jet_rank(space, alpha) -> int:
     """Jet rank at one cell: the rank of the window columns of alpha on their own."""
     n = space.ambient.truncation
     keep = [i * n + k for i, a in enumerate(alpha) for k in range(a)]
     if not keep or not space.pivots:
         return 0
-    return linalg.rank(_columns(space._rows, keep), space.field)
+    return linalg.rank(space._rows[:, keep], space.field)

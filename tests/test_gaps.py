@@ -130,6 +130,9 @@ def test_close_algebra_matches_all_products_oracle(field):
             vecs.append(TruncatedSeries.from_monomials(amb, terms))
         space = SeriesSubspace.span(amb, vecs)
         closed = close_algebra(space)
+        if field == QQ:  # integer rows in the shared kernel, boxed only by .rows
+            assert closed._rows.dtype == object
+            assert all(type(x) is int for x in closed._rows.flat)
         assert (closed.rows, closed.pivots) == naive_closure(space)
 
 
@@ -413,3 +416,33 @@ def test_line_filled_memo_matches_per_cell_jet_rank(field):
                 assert value == sum(alpha) - per_cell_jet_rank(space, alpha), alpha
             filled |= len(gap._memo) > len(cells[:40])
     assert filled  # the lines filled cells nobody asked for
+
+
+def test_no_window_line_is_eliminated_twice(monkeypatch):
+    """Every caller asks a window line from its top, so each (space, line head)
+    pair reaches the elimination once: over the fingerprints of the model
+    algebras, over analyze of clusters with two and four branches, and over a
+    key-lemma fuzz job."""
+    import gapcurve as gc
+    from gapcurve import classify, cli
+
+    heads = []
+    real = SeriesSubspace._line_ranks
+
+    def counted(space, alpha):
+        heads.append((space, tuple(alpha[:-1])))  # the space itself keeps its id unique
+        return real(space, alpha)
+
+    monkeypatch.setattr(SeriesSubspace, "_line_ranks", counted)
+    monkeypatch.setattr(classify, "_fingerprint_index", None)
+    classify._fingerprints()
+    for field, label, count in ((QQ, "3.2.f", 2), (GF(101), "3.4", 4)):
+        curve = gc.RationalNormalCurve(field, 8)
+        points = [curve.point(a, 1) for a in (2, 5, 7)][: count - 1] + [curve.point(1, 0)]
+        center = gc.sample_center(gc.stratum_spec(label, points, curve, 3), 1, curve)
+        [cluster] = gc.analyze(center, curve, clusters=[points]).clusters
+        assert (cluster.type_label, len(cluster.points)) == (label, count)
+    job = cli.JobSpec({"command": "fuzz-key-lemma", "field": "Fp:101", "params": {"count": 4}})
+    assert cli.run(job)[1]["result"]["all_hold"]
+    assert len(heads) > 100
+    assert len(set(heads)) == len(heads)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from gapcurve.project import (
 from gapcurve.schubert import sample_center, stratum_spec
 from gapcurve.series import SeriesSubspace
 
-from conftest import per_cell_flag_dims, per_cell_jet_rank
+from conftest import per_cell_flag_dims, per_cell_jet_rank, proportional
 
 F = GF(10007)
 
@@ -245,7 +246,7 @@ def _vandermonde_scan(center, curve):
     rows for all p + 1 points, fibers from a bytes dict over every normalized image,
     tangency from 2x2 minors of nu and nu' reduced mod L through its pivots.
     Returns (points, tangent flags) per cluster, sorted along the curve."""
-    d, p = center.degree, center.field.p
+    field, d, p = center.field, center.degree, center.field.p
     a = np.arange(p, dtype=np.int64)
     powers = np.ones((d + 1, p), dtype=np.int64)
     for e in range(1, d + 1):
@@ -258,7 +259,7 @@ def _vandermonde_scan(center, curve):
             nu_t[:p, k] = (d - k) * powers[d - k - 1] % p
     nu[p, 0] = 1  # the point (1:0)
     nu_t[p, 1] = 1
-    phi = nu @ linalg.gfp_matrix(center.m_basis(), d + 1).T % p
+    phi = nu @ linalg.matrix(center.m_basis(), field, d + 1).T % p
     idx = np.arange(p + 1)
     lead = phi[idx, np.argmax(phi != 0, axis=1)]
     assert lead.all()
@@ -266,7 +267,7 @@ def _vandermonde_scan(center, curve):
     fibers = {}
     for i in range(p + 1):
         fibers.setdefault(norm[i].tobytes(), []).append(i)
-    lrows = linalg.gfp_matrix(center.rows, d + 1)
+    lrows = linalg.matrix(center.rows, field, d + 1)
     piv = np.array(center.pivots, dtype=np.int64)
     nu_r = (nu - nu[:, piv] @ lrows) % p
     nut_r = (nu_t - nu_t[:, piv] @ lrows) % p
@@ -965,14 +966,18 @@ def test_scan_refuses_fields_past_its_int64_bound(d, n):
 
 
 def test_int64_cluster_builder_matches_boxed_series():
-    """Over F_p the cluster builder's residue array is m/s for m in M, checked
-    against boxed local expansions, series inverse and products."""
+    """The cluster builder's array is m/s for m in M, checked against boxed
+    local expansions, series inverse and products: over F_p as residues, over
+    Q as integer rows, each one rational multiple of its m/s row across all
+    branches.  The values s(P) differ between the points, so scaling s^-1
+    into Z branch by branch would scale columns and fail."""
     from gapcurve.series import Ambient, TruncatedSeries
 
     rng = random.Random(12)
-    for field in (F, GF(2**31 - 1)):
+    for field in (F, GF(2**31 - 1), QQ):
         curve = RationalNormalCurve(field, 8)
-        points = [curve.point(3, 1), curve.point(2**20 + 7, 1), curve.point(1, 0)]
+        a = Fraction(-5, 2) if field == QQ else 2**20 + 7
+        points = [curve.point(3, 1), curve.point(a, 1), curve.point(1, 0)]
         rows = [[field.random_element(rng) for _ in range(9)] for _ in range(3)]
         center = ProjectionCenter.from_rows(field, 8, rows)
         s = _choose_section(center, [_point_image(center, curve, p) for p in points], rng)
@@ -986,7 +991,12 @@ def test_int64_cluster_builder_matches_boxed_series():
                 ).flat()
                 for m in center.m_basis()
             ]
-            assert linalg.gfp_elements(got, field) == want
+            if field == QQ:
+                assert len({curve.section_value(s, p) for p in points}) == len(points)
+                assert got.dtype == object and len(got) == len(want)
+                assert all(proportional(g, w) for g, w in zip(got.tolist(), want))
+            else:
+                assert linalg.elements(got, field) == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -12,13 +13,14 @@ from gapcurve.series import (
     INF,
     Ambient,
     TruncatedSeries,
+    SeriesSubspace,
     _gfp_inverse,
-    _gfp_products,
+    _products,
     quotient_dim,
     span_reduce,
 )
 
-from conftest import independent_rank
+from conftest import independent_rank, proportional
 
 
 def t_power(ambient, k, branch=0):
@@ -270,16 +272,20 @@ def test_contains(field, rng):
         space.contains(TruncatedSeries.unit(Ambient(field, 2, 5)))
 
 
-@pytest.mark.parametrize("p", [3, 101, 2**31 - 1])
+@pytest.mark.parametrize("p", [0, 3, 101, 2**31 - 1])
 def test_gfp_products_and_inverse_match_boxed(p):
-    """The int64 convolution and Newton inverse against TruncatedSeries, with
-    residues just below p (near the 2^62 product bound at p = 2^31 - 1)."""
-    field = GF(p)
+    """The array convolution and the F_p Newton inverse against TruncatedSeries.
+    Over F_p the residues sit just below p (near the 2^62 product bound at
+    p = 2^31 - 1); over Q (p = 0) the rows are integer rows, and each product
+    row is a multiple of the boxed product."""
+    field = GF(p) if p else QQ
     rng = random.Random(p)
     r, n = 3, 9
     amb = Ambient(field, r, n)
 
     def near_top(low=0):
+        if not p:
+            return Fraction(rng.randrange(-60, 60), rng.randrange(1, 9))
         return field(rng.randrange(max(low, p - 60), p))
 
     def series(low=0):
@@ -287,21 +293,27 @@ def test_gfp_products_and_inverse_match_boxed(p):
 
     a = [series() for _ in range(3)]
     b = [series() for _ in range(2)]
-    got = _gfp_products(
-        linalg.gfp_matrix([x.flat() for x in a], amb.width),
-        linalg.gfp_matrix([y.flat() for y in b], amb.width),
+    got = _products(
+        linalg.matrix([x.flat() for x in a], field, amb.width),
+        linalg.matrix([y.flat() for y in b], field, amb.width),
         r,
         p,
     )
-    assert linalg.gfp_elements(got, field) == [(x * y).flat() for x in a for y in b]
+    want = [(x * y).flat() for x in a for y in b]
+    if not p:
+        assert got.dtype == object and all(proportional(g, w) for g, w in zip(got.tolist(), want))
+        return
+    assert linalg.elements(got, field) == want
     unit = series(low=1)
-    inv = _gfp_inverse(linalg.gfp_matrix([unit.flat()], amb.width), r, p)
-    assert linalg.gfp_elements(inv, field) == [unit.inverse().flat()]
+    inv = _gfp_inverse(linalg.matrix([unit.flat()], field, amb.width), r, p)
+    assert linalg.elements(inv, field) == [unit.inverse().flat()]
 
 
-@pytest.mark.parametrize("p", [3, 101, 2**31 - 1])
+@pytest.mark.parametrize("p", [0, 3, 101, 2**31 - 1])
 def test_jet_rank_matches_independent_rank(p):
-    field = GF(p)
+    """Window ranks of the kernel array (integer rows over Q, p = 0) against
+    an independent elimination over the boxed rows."""
+    field = GF(p) if p else QQ
     rng = random.Random(20261019 + p)
     for _ in range(12):
         r, n = rng.randrange(1, 4), rng.randrange(2, 8)
@@ -321,3 +333,20 @@ def test_jet_rank_matches_independent_rank(p):
             keep = [i * n + k for i, a in enumerate(alpha) for k in range(a)]
             window = [[row[c] for c in keep] for row in rows]
             assert space.jet_rank(alpha) == independent_rank(window, field, len(keep)), alpha
+
+
+def test_public_constructor_takes_fraction_rows():
+    """SeriesSubspace(ambient, rows, pivots) with RREF rows as Fraction lists
+    keeps them as integer rows and boxes them back unchanged."""
+    amb = Ambient(QQ, 2, 3)
+    rows = [
+        [Fraction(1), Fraction(0), Fraction(2, 3), Fraction(0), Fraction(-1, 4), Fraction(0)],
+        [Fraction(0), Fraction(1), Fraction(5, 7), Fraction(0), Fraction(0), Fraction(3)],
+    ]
+    space = SeriesSubspace(amb, rows, [0, 1])
+    assert space._rows.dtype == object and all(type(x) is int for x in space._rows.flat)
+    assert space.rows == rows
+    assert space.basis() == [TruncatedSeries.from_flat(amb, row) for row in rows]
+    ranks = {(1, 0): 1, (2, 0): 2, (0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 1, (3, 3): 2}
+    assert {alpha: space.jet_rank(alpha) for alpha in ranks} == ranks
+    assert space.contains(TruncatedSeries.from_flat(amb, [3 * x for x in rows[0]]))
