@@ -5,9 +5,16 @@ A binary form of formal degree D is stored as the coefficient tuple
 encode roots at (1:0) of lower-degree content), which is what makes the
 Sylvester resultants below specialize correctly.
 
-Root finding over a prime field scans the p+1 points of the projective line.
-Over the rationals it takes the same scan modulo a small prime and lifts each
-root p-adically until the symmetric residue determines it (Loos, SIAM J.
+Every gcd runs one Euclid kernel on int lists mod p.  Over F_p that is the
+gcd.  Over Q ``form_gcd`` takes it mod 31-bit primes and combines the images
+by CRT (Brown, JACM 18, 1971), accepting a candidate only after exact trial
+division; a constant image proves the gcd is 1.  Both fields return the
+monic gcd that field arithmetic gives.
+
+Roots over F_p are those of gcd(f, x^p - x), split by gcds with
+(x + delta)^((p-1)/2) - 1, so the work is polynomial in log p.  Over the
+rationals the same root finder runs modulo a small prime, and each root is
+lifted p-adically until the symmetric residue determines it (Loos, SIAM J.
 Comput. 12, 1983), so no coefficient size limits it.
 
 Resultants run over Z for both fields.  ``resultant_in_q`` lifts each biform
@@ -18,23 +25,20 @@ difference of x^j is the complete homogeneous symmetric polynomial h_{j-k} of
 the nodes, so every divided difference of an integer polynomial is an
 integer.  The Sylvester determinant is a polynomial with integer coefficients
 in the entries, so the integer resultant of the residues, reduced mod p at the
-end, is the resultant over F_p, with no lower bound on p.  ``form_gcd`` runs a
-primitive pseudo-remainder sequence over Z on Q and Euclid in the field on
-F_p.  Both return exactly the forms that field arithmetic gives, not just a
-scalar multiple of them, which matters to callers that compare successive
-gcds with ``==``.  Only Python ints are used: no floats and no fixed-width
-integers, so no overflow bound applies.
+end, is the resultant over F_p, with no lower bound on p.  Only Python ints
+are used: no floats and no fixed-width integers, so no overflow bound
+applies.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import count
 from math import gcd as int_gcd, lcm
 
 from .errors import GapcurveError, ValidationError
-from .fields import PrimeField, QQ, is_prime
+from .fields import PrimeField, is_prime
 
 _LIFT_PRIME = 101  # the first prime tried; a small one keeps the F_p scan cheap
 
@@ -99,46 +103,101 @@ class BinaryForm:
         return f"BinaryForm(deg={self.formal_degree}, {list(self.coeffs)})"
 
 
-def _poly_trim(cs, field):
-    i = len(cs) - 1
-    while i >= 0 and not cs[i]:
+def _trim(cs):
+    """A low-first int list without its zero top coefficients."""
+    i = len(cs)
+    while i and not cs[i - 1]:
         i -= 1
-    return cs[: i + 1]
+    return cs[:i]
 
 
-def _poly_divmod(num, den, field):
-    """Polynomial division on low-first coefficient lists."""
-    num = list(num)
-    den = _poly_trim(den, field)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    dn = len(den) - 1
-    lead_inv = field.one / den[-1]
-    quot = [field.zero] * max(0, len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i] * lead_inv
+def _divmod(f, g, p):
+    """(quotient, remainder) of low-first int lists, g trimmed: mod p for
+    p > 0; over Z for p = 0, or None once a quotient coefficient is not an
+    integer."""
+    r = list(f)
+    n, lead = len(g) - 1, g[-1]
+    inv = pow(lead, -1, p) if p else None
+    quot = [0] * max(0, len(r) - n)
+    for i in range(len(r) - 1, n - 1, -1):
+        c, rem = (r.pop() * inv % p, 0) if p else divmod(r.pop(), lead)
+        if rem:
+            return None
+        quot[i - n] = c
         if c:
-            quot[i - dn] = c
-            for j in range(dn + 1):
-                num[i - dn + j] = num[i - dn + j] - c * den[j]
-    return quot, _poly_trim(num, field)
+            for j in range(n):
+                r[i - n + j] -= c * g[j]
+    return quot, _trim([c % p for c in r] if p else r)
 
 
-def _poly_gcd(f, g, field):
-    """Monic gcd of two low-first coefficient lists."""
-    f = _poly_trim(list(f), field)
-    g = _poly_trim(list(g), field)
+def _gcd_mod(f, g, p):
+    """Monic gcd mod p of two low-first int lists, not both zero mod p (Euclid)."""
+    f, g = _trim([c % p for c in f]), _trim([c % p for c in g])
     while g:
-        _, r = _poly_divmod(f, g, field)
-        f, g = g, r
-    if not f:
-        return []
-    inv = field.one / f[-1]
-    return [c * inv for c in f]
+        f, g = g, _divmod(f, g, p)[1]
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+@cache
+def _gcd_prime(i: int) -> int:
+    """The i-th 31-bit prime in decreasing order, from 2^31 - 1 (i = 0)."""
+    start = _gcd_prime(i - 1) - 2 if i else (1 << 31) - 1
+    return next(filter(is_prime, count(start, -2)))
+
+
+def _gcd_primes():
+    """The 31-bit primes in decreasing order; each primality test runs once."""
+    return map(_gcd_prime, count())
+
+
+def _gcd_z(f, g):
+    """Primitive gcd over Z of two nonzero trimmed int lists (Brown, JACM 18, 1971).
+
+    Let h be the primitive gcd.  Modulo a prime p dividing neither leading
+    coefficient, the monic gcd has degree >= deg h, with equality for all but
+    finitely many p: a larger image is dropped, a smaller one restarts the
+    combination, and a constant one proves h = 1.  lead(h) divides
+    gamma = gcd(lead f, lead g), so the images scaled to lead gamma are the
+    residues of the integer form (gamma / lead h)·h; their CRT combination's
+    symmetric residue has h as its primitive part once the modulus is large
+    enough.  A candidate is returned only after exact division into f and g.
+    """
+    gamma = int_gcd(f[-1], g[-1])
+    best, acc, m = None, None, 1
+    for p in _gcd_primes():
+        if f[-1] % p == 0 or g[-1] % p == 0:
+            continue
+        image = _gcd_mod(f, g, p)
+        if len(image) == 1:
+            return [1]
+        image = [c * gamma % p for c in image]
+        if best is None or len(image) < best:
+            best, acc, m = len(image), image, p
+        elif len(image) == best:
+            step = pow(m, -1, p)
+            acc = [a + m * ((b - a) * step % p) for a, b in zip(acc, image)]
+            m *= p
+        else:
+            continue
+        h = _primitive([c - m if 2 * c > m else c for c in acc])
+        if _divides(h, f) and _divides(h, g):
+            return h
+
+
+def _divides(h, f) -> bool:
+    """Does the primitive int list h divide the int list f over Q?  By Gauss's
+    lemma that division has an integer quotient, so it runs over Z."""
+    qr = _divmod(f, h, 0)
+    return qr is not None and not qr[1]
 
 
 def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """gcd of two binary forms (monic in a; power of b tracked via leading zeros)."""
+    """gcd of two binary forms (monic in a; power of b tracked via leading zeros).
+
+    The cores run through one Euclid kernel on int lists mod p: over F_p at p
+    itself, over Q at 31-bit primes combined by ``_gcd_z``.
+    """
     field = f.field
     if f.is_zero():
         return g
@@ -147,50 +206,22 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 
     la, ta, fa = _split_parts(f)
     lb, tb, fb = _split_parts(g)
-    if isinstance(field, PrimeField):
-        core = _poly_gcd(fa, fb, field)
+    p = field.characteristic
+    if p:
+        core = _gcd_mod([c.value for c in fa], [c.value for c in fb], p)
     else:
-        core = _primitive_prs_gcd(fa, fb)
-    a_part = min(la, lb)
-    b_part = min(ta, tb)
-    out = [field.zero] * a_part + core + [field.zero] * b_part
-    return BinaryForm(field, out)
+        core = _gcd_z(_primitive(fa), _primitive(fb))
+    inv = field.one / field(core[-1])
+    out = [field.zero] * min(la, lb) + [field(c) * inv for c in core]
+    return BinaryForm(field, out + [field.zero] * min(ta, tb))
 
 
 def _primitive(cs):
-    """The primitive integer multiple of a nonzero list of rationals."""
+    """The primitive integer multiple of a nonzero list of rationals or ints."""
     den = reduce(lcm, (c.denominator for c in cs), 1)  # no starred tuples, as linalg.matrix
     ints = [c.numerator * (den // c.denominator) for c in cs]
     content = reduce(int_gcd, ints, 0)
     return [c // content for c in ints]
-
-
-def _pseudo_remainder(f, g):
-    """lead(g)^k * f mod g for some k >= 0, on low-first integer lists with
-    len(f) >= len(g): only the steps that cancel a nonzero term scale by lead(g)."""
-    r = list(f)
-    n, lead = len(g) - 1, g[-1]
-    for i in range(len(r) - 1, n - 1, -1):
-        c = r.pop()
-        if c:
-            r = [lead * x for x in r]
-            for j in range(n):
-                r[i - n + j] -= c * g[j]
-    return _poly_trim(r, None)
-
-
-def _primitive_prs_gcd(f, g):
-    """Monic gcd over Q of two nonzero trimmed rational lists, by a primitive
-    pseudo-remainder sequence over Z (Collins; Brown, JACM 18, 1971)."""
-    f, g = _primitive(f), _primitive(g)
-    if len(f) < len(g):
-        f, g = g, f
-    while len(g) > 1:
-        r = _pseudo_remainder(f, g)
-        if not r:
-            break
-        f, g = g, _primitive(r)
-    return [Fraction(c, g[-1]) for c in g]
 
 
 def form_has_roots(form: BinaryForm) -> bool:
@@ -233,20 +264,6 @@ def derivative_b(f: BinaryForm) -> BinaryForm:
     if d == 0:
         return BinaryForm(field, [field.zero])
     out = [field(d - i) * c for i, c in enumerate(f.coeffs[:-1])]
-    return BinaryForm(field, out)
-
-
-def divide_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Exact division of binary forms; raises if the division has a remainder."""
-    field = f.field
-    fl, ftop, fcore = _split_parts(f)
-    gl, gtop, gcore = _split_parts(g)
-    if gl > fl or gtop > ftop:
-        raise ValidationError("form division is not exact (content mismatch)")
-    quot, rem = _poly_divmod(fcore, gcore, field)
-    if rem:
-        raise ValidationError("form division is not exact")
-    out = [field.zero] * (fl - gl) + quot + [field.zero] * (ftop - gtop)
     return BinaryForm(field, out)
 
 
@@ -321,67 +338,6 @@ class BiForm:
     def is_zero(self):
         return not any(any(row) for row in self.coeffs)
 
-    def swap(self) -> "BiForm":
-        out = [[self.coeffs[i][j] for i in range(self.deg_p + 1)] for j in range(self.deg_q + 1)]
-        return BiForm(self.field, out, self.deg_q, self.deg_p)
-
-    def p_columns(self):
-        """Coefficient of each P'-monomial, as a binary form in the first point."""
-        return [
-            BinaryForm(self.field, [self.coeffs[i][j] for i in range(self.deg_p + 1)])
-            for j in range(self.deg_q + 1)
-        ]
-
-    def strip_p_content(self):
-        """Divide out the gcd of the P-coefficient forms.
-
-        Returns (stripped biform, content) with content = None when trivial.
-        The zeros of the content are first-point lines on which this biform
-        vanishes identically.
-        """
-        cols = self.p_columns()
-        nonzero = [c for c in cols if not c.is_zero()]
-        if not nonzero:
-            raise ValidationError("cannot strip the zero biform")
-        content = gcd_many(nonzero)
-        if form_is_unit(content):
-            return self, None
-        new_dp = self.deg_p - content.formal_degree
-        zero_col = [self.field.zero] * (new_dp + 1)
-        new_cols = [
-            zero_col if c.is_zero() else list(divide_exact(c, content).coeffs) for c in cols
-        ]
-        coeffs = [[new_cols[j][i] for j in range(self.deg_q + 1)] for i in range(new_dp + 1)]
-        return BiForm(self.field, coeffs, new_dp, self.deg_q), content
-
-    def strip_contents(self):
-        """Strip content in both points; returns (stripped, [content forms])."""
-        contents = []
-        cur, c1 = self.strip_p_content()
-        if c1 is not None:
-            contents.append(c1)
-        swapped, c2 = cur.swap().strip_p_content()
-        if c2 is not None:
-            contents.append(c2)
-        return swapped.swap(), contents
-
-    def normalized(self) -> "BiForm":
-        """Scale so the first nonzero coefficient is one."""
-        for row in self.coeffs:
-            for c in row:
-                if c:
-                    inv = self.field.one / c
-                    return BiForm(
-                        self.field,
-                        [[inv * x for x in r] for r in self.coeffs],
-                        self.deg_p,
-                        self.deg_q,
-                    )
-        raise ValidationError("cannot normalize the zero biform")
-
-    def key(self):
-        return (self.deg_p, self.deg_q, tuple(tuple(r) for r in self.coeffs))
-
     def divide_diagonal(self) -> "BiForm":
         """Exact division by (a b' - a' b); requires vanishing on the diagonal."""
         field = self.field
@@ -402,25 +358,6 @@ class BiForm:
         if any(any(row) for row in rem):
             raise ValidationError("biform is not divisible by the diagonal form")
         return BiForm(field, quot, dp - 1, dq - 1)
-
-
-def collision_biform(f_coeffs, g_coeffs, field, degree) -> BiForm:
-    """f(P) g(P') - g(P) f(P') for two degree-d forms on the projective line.
-
-    Coefficient lists are in the dual monomial order used by the curve module
-    (x^d, x^{d-1} y, ..., y^d), so index k carries a^(d-k) b^k.
-    """
-    d = degree
-    out = [[field.zero] * (d + 1) for _ in range(d + 1)]
-    for k1 in range(d + 1):
-        i = d - k1  # a-power at P
-        f1, g1 = field(f_coeffs[k1]), field(g_coeffs[k1])
-        for k2 in range(d + 1):
-            j = d - k2
-            c = f1 * field(g_coeffs[k2]) - g1 * field(f_coeffs[k2])
-            if c:
-                out[i][j] = out[i][j] + c
-    return BiForm(field, out, d, d)
 
 
 def resultant_in_q(h1: BiForm, h2: BiForm) -> BinaryForm:
@@ -519,27 +456,70 @@ def projective_roots(form: BinaryForm):
     return roots, len(poly) - 1 - found
 
 
-def _multiplicity(poly, x, field) -> int:
-    """How many times (a - x b) divides the low-first polynomial ``poly``."""
+def _multiplicity(poly, x) -> int:
+    """How many times (a - x b) divides the low-first polynomial ``poly``,
+    by repeated synthetic division."""
     mult = 0
-    while True:
-        poly, rem = _poly_divmod(poly, [-x, field.one], field)
-        if rem:
-            return mult
-        mult += 1
+    while len(poly) > 1:
+        out = [poly[-1]]
+        for c in reversed(poly[:-1]):
+            out.append(out[-1] * x + c)
+        if out.pop():
+            break
+        poly, mult = out[::-1], mult + 1
+    return mult
 
 
 def _roots_gfp(poly, field: PrimeField):
-    import numpy as np
+    """Roots in F_p, with multiplicities and in increasing order, of a
+    polynomial with a nonzero leading coefficient.
 
+    r = gcd(f, x^p - x) is the product of (x - u) over the distinct roots u,
+    with x^p mod f by repeated squaring.  A factor of r with two or more
+    roots splits by gcd(r, (x + delta)^((p - 1)/2) - 1) for delta = 0, 1,
+    2, ...: it keeps the roots u with u + delta a nonzero square, and some
+    delta < p separates any two roots.  The work is polynomial in log p.
+    """
     p = field.p
-    cs = np.array([c.value for c in poly], dtype=np.int64)
-    xs = np.arange(p, dtype=np.int64)
-    vals = np.zeros(p, dtype=np.int64)
-    for c in cs[::-1]:
-        vals = (vals * xs + int(c)) % p
-    roots = (field(int(x)) for x in np.nonzero(vals == 0)[0])
-    return [(x, _multiplicity(poly, x, field)) for x in roots]
+    f = _trim([c.value for c in poly])
+    xp = _pow_mod([0, 1], p, f, p) + [0, 0]
+    xp[1] -= 1  # x^p - x mod f
+    stack = [(_gcd_mod(f, xp, p), 0)]
+    roots = []
+    while stack:
+        r, delta = stack.pop()
+        if len(r) == 2:
+            roots.append(-r[0] % p)
+            continue
+        while len(r) > 2:
+            half = _pow_mod([delta, 1], (p - 1) // 2, r, p) + [0]
+            half[0] -= 1
+            s = _gcd_mod(r, half, p)
+            delta += 1
+            if 1 < len(s) < len(r):
+                stack += [(s, delta), (_divmod(r, s, p)[0], delta)]
+                break
+    return [(field(u), _multiplicity(poly, field(u))) for u in sorted(roots)]
+
+
+def _pow_mod(base, e, m, p):
+    """base^e modulo the trimmed int list m and p, by repeated squaring."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _divmod(_mul(out, base), m, p)[1]
+        base, e = _divmod(_mul(base, base), m, p)[1], e >> 1
+    return out
+
+
+def _mul(f, g):
+    """Product of two low-first int lists."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
 
 
 def _roots_rational(poly):
@@ -552,8 +532,8 @@ def _roots_rational(poly):
     modulus m > 2|lead(g)·g(0)|.  A root u/v has v | lead(g) and u | g(0), so
     lead(g)·u/v is the symmetric residue of lead(g)·r mod m: none is missed.
     """
-    repeated = _primitive_prs_gcd(poly, [i * c for i, c in enumerate(poly)][1:])
-    g = _primitive(_poly_divmod(poly, repeated, QQ)[0])
+    f = _primitive(poly)
+    g = _divmod(f, _gcd_z(f, [i * c for i, c in enumerate(f)][1:]), 0)[0]
     lead, bound = g[-1], 2 * abs(g[-1] * g[0])
     for p in filter(is_prime, count(_LIFT_PRIME, 2)):
         if lead % p:
@@ -572,7 +552,7 @@ def _roots_rational(poly):
             r = (r - value * pow(slope, -1, m)) % m
         num = lead * r % m
         x = Fraction(num - m if 2 * num > m else num, lead)
-        mult = _multiplicity(poly, x, QQ)
+        mult = _multiplicity(poly, x)
         if mult:
             out.append((x, mult))
     return sorted(out)

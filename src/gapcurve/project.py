@@ -16,13 +16,17 @@ curve model, the pipeline
 Over a prime field, ramification detection scans every point of the
 projective line (exact int64 arithmetic); points living over extension
 fields are not seen by the scan and can optionally be certified absent.
-Over the rationals, detection is symbolic: Wronskian gcds for tangency,
-resultant elimination plus rational-root extraction for secants, and any
-locus that cannot be resolved to rational points is an explicit error.
+Over the rationals, detection is symbolic: Wronskian gcds for tangency, and
+for secants one candidate form, the gcd of res_P'(H_1, H_2) over two pairs of
+random integer combinations H of the collision biforms, whose rational roots
+are extracted.  Any locus that cannot be resolved to rational points is an
+explicit error.  The same two forms give the residual degrees of ``certify``
+over a prime field.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import islice
 
@@ -283,6 +287,13 @@ def _ramification_scan_gfp(center: ProjectionCenter, curve):
 # ramification over the rationals: symbolic elimination
 
 
+# The secant candidate: how many pairs of combinations are drawn before the
+# resultants count as vanishing identically, the fixed seed, the largest c_ij.
+_SECANT_DRAWS = 6
+_SECANT_SEED = 20261020
+_SECANT_COEFFICIENT = 9
+
+
 def _tangency_form(center: ProjectionCenter):
     """gcd of the pairwise Wronskians of the forms of M."""
     field = center.field
@@ -306,71 +317,65 @@ def _tangency_form(center: ProjectionCenter):
     return acc
 
 
-def _collision_forms(center: ProjectionCenter):
-    """Stripped, deduplicated collision biforms plus their content forms.
+def _combination(center: ProjectionCenter, rng):
+    """H = sum_{i<j} c_ij h_ij for random integers c_ij in 1..9.
 
-    The content forms record first-point lines where some collision biform
-    vanishes identically; their roots rejoin the candidate set directly.
+    h_ij is the collision biform f_i(P) f_j(P') - f_j(P) f_i(P') of the basis
+    forms of M, divided by the diagonal form (a b' - a' b), of bidegree
+    (d - 1, d - 1).  Before the division the sum is sum_{i,j} C_ij f_i(P)
+    f_j(P') for the antisymmetric C with C_ij = c_ij above the diagonal, so
+    it is built as M^T (C M) with one division and no h_ij of its own.
     """
-    field = center.field
-    d = center.degree
+    field, d = center.field, center.degree
     m_rows = center.m_basis()
-    hs = {}
-    contents = []
-    for i in range(len(m_rows)):
-        for j in range(i + 1, len(m_rows)):
-            b = binforms.collision_biform(m_rows[i], m_rows[j], field, d)
-            if b.is_zero():
-                continue
-            h = b.divide_diagonal()
-            h, cs = h.strip_contents()
-            contents.extend(cs)
-            h = h.normalized()
-            hs.setdefault(h.key(), h)
-    return list(hs.values()), contents
+    k = len(m_rows)
+    c = [[field.zero] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            c[i][j] = field(rng.randint(1, _SECANT_COEFFICIENT))
+            c[j][i] = -c[i][j]
+    cm = [linalg.combine(row, m_rows, field, d + 1) for row in c]
+    # index s of a row carries x^(d-s) y^s, that is a^(d-s) b^s
+    rows = [
+        [sum((m[d - s] * r[d - t] for m, r in zip(m_rows, cm)), field.zero) for t in range(d + 1)]
+        for s in range(d + 1)
+    ]
+    return binforms.BiForm(field, rows, d, d).divide_diagonal()
 
 
 def _secant_candidate_form(center: ProjectionCenter):
-    """(candidate form or None, content forms): rational roots of these cover
-    every secant-cluster point."""
-    hs, contents = _collision_forms(center)
-    if not hs:
-        raise HypothesisViolationError("collision ideal vanishes identically")
-    if len(hs) == 1 and hs[0].deg_p == 0 and hs[0].deg_q == 0:
-        return None, contents  # constants: no collisions beyond content lines
-    acc = None
-    nonzero = 0
-    stable = 0
-    for i in range(len(hs)):
-        for j in range(i + 1, len(hs)):
-            res = binforms.resultant_in_q(hs[i], hs[j])
-            if res.is_zero():
-                continue
-            nonzero += 1
-            nxt = res if acc is None else binforms.form_gcd(acc, res)
-            stable = stable + 1 if acc is not None and nxt == acc else 0
-            acc = nxt
-            if binforms.form_is_unit(acc) or stable >= 3 or nonzero >= 12:
-                return acc, contents
-    if acc is None and len(hs) >= 2:
-        raise HypothesisViolationError(
-            "all collision resultants vanish identically: infinitely many secants "
-            "meet the center (hypotheses violated?)"
-        )
-    return acc, contents
+    """A form whose base-field roots cover every secant-cluster point.
+
+    It is the gcd of res_P'(H_1, H_2) over two pairs of random combinations H
+    of the collision biforms.  A common zero of the biforms is a zero of every
+    H, over the algebraic closure too, so the draws only decide how many
+    spurious factors remain.  A resultant that vanishes identically means a
+    common factor of H_1 and H_2 in P'; it is drawn again a few times.
+    """
+    rng = random.Random(_SECANT_SEED)
+    found = []
+    for _ in range(_SECANT_DRAWS):
+        res = binforms.resultant_in_q(_combination(center, rng), _combination(center, rng))
+        if not res.is_zero():
+            found.append(res)
+            if len(found) == 2:
+                return binforms.form_gcd(*found)
+    raise HypothesisViolationError(
+        "all collision resultants vanish identically: infinitely many secants "
+        "meet the center (hypotheses violated?)"
+    )
 
 
 def _candidate_roots(center: ProjectionCenter):
     """Yield (kind, base-field roots, residual degree) for the tangency form,
-    then for each secant candidate form; the roots cover every ramification
+    then for the secant candidate form; the roots cover every ramification
     point defined over the base field."""
     tform = _tangency_form(center)
     if binforms.form_has_roots(tform):
         yield "tangency", *binforms.projective_roots(tform)
-    sform, contents = _secant_candidate_form(center)
-    for cform in [sform] + contents:
-        if cform is not None and binforms.form_has_roots(cform):
-            yield "secant", *binforms.projective_roots(cform)
+    sform = _secant_candidate_form(center)
+    if binforms.form_has_roots(sform):
+        yield "secant", *binforms.projective_roots(sform)
 
 
 def _point_image(center: ProjectionCenter, curve, point):
@@ -474,9 +479,7 @@ def _choose_section(center: ProjectionCenter, images, rng=None):
     for i, row in enumerate(m_rows):
         if all(image[i] for image in images):
             return list(row)
-    import random as _random
-
-    rng = rng or _random.Random(20260808)
+    rng = rng or random.Random(20260808)
     for _ in range(64):
         combo = [field.random_element(rng) for _ in m_rows]
         if all(sum((c * v for c, v in zip(combo, image)), field.zero) for image in images):

@@ -1,10 +1,12 @@
+import functools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gapcurve import linalg
+from gapcurve import binforms, linalg
 from gapcurve.fields import GF, QQ
 
 
@@ -116,3 +118,197 @@ def per_cell_jet_rank(space, alpha) -> int:
     if not keep or not space.pivots:
         return 0
     return linalg.rank(space._rows[:, keep], space.field)
+
+
+# ---------------------------------------------------------------------------
+# binary-form oracles: field Euclid, the primitive PRS over Z, the O(p) root
+# scan and the pairwise secant route with content stripping
+
+
+def poly_trim(cs):
+    """A low-first list without its zero top coefficients."""
+    i = len(cs) - 1
+    while i >= 0 and not cs[i]:
+        i -= 1
+    return cs[: i + 1]
+
+
+def poly_divmod(num, den, field):
+    """Polynomial division on low-first lists of field elements."""
+    num = list(num)
+    den = poly_trim(den)
+    dn = len(den) - 1
+    lead_inv = field.one / den[-1]
+    quot = [field.zero] * max(0, len(num) - dn)
+    for i in range(len(num) - 1, dn - 1, -1):
+        c = num[i] * lead_inv
+        if c:
+            quot[i - dn] = c
+            for j in range(dn + 1):
+                num[i - dn + j] = num[i - dn + j] - c * den[j]
+    return quot, poly_trim(num)
+
+
+def poly_gcd(f, g, field):
+    """Monic gcd of two low-first lists by Euclid in the field."""
+    f, g = poly_trim(list(f)), poly_trim(list(g))
+    while g:
+        f, g = g, poly_divmod(f, g, field)[1]
+    if not f:
+        return []
+    inv = field.one / f[-1]
+    return [c * inv for c in f]
+
+
+def primitive(cs):
+    """The primitive integer multiple of a nonzero list of rationals."""
+    den = math.lcm(*(Fraction(c).denominator for c in cs))
+    ints = [int(Fraction(c) * den) for c in cs]
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
+
+
+def pseudo_remainder(f, g):
+    """lead(g)^k * f mod g on low-first integer lists with len(f) >= len(g):
+    only the steps that cancel a nonzero term scale by lead(g)."""
+    r = list(f)
+    n, lead = len(g) - 1, g[-1]
+    for i in range(len(r) - 1, n - 1, -1):
+        c = r.pop()
+        if c:
+            r = [lead * x for x in r]
+            for j in range(n):
+                r[i - n + j] -= c * g[j]
+    return poly_trim(r)
+
+
+def primitive_prs_gcd(f, g):
+    """Monic gcd over Q of two nonzero trimmed rational lists, by a primitive
+    pseudo-remainder sequence over Z (Collins; Brown, JACM 18, 1971)."""
+    f, g = primitive(f), primitive(g)
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        r = pseudo_remainder(f, g)
+        if not r:
+            break
+        f, g = g, primitive(r)
+    return [Fraction(c, g[-1]) for c in g]
+
+
+def oracle_form_gcd(f, g):
+    """form_gcd on the cores by the field Euclid over F_p and the PRS over Q."""
+    field = f.field
+    la, ta, fa = binforms._split_parts(f)
+    lb, tb, fb = binforms._split_parts(g)
+    core = primitive_prs_gcd(fa, fb) if field == QQ else poly_gcd(fa, fb, field)
+    zero = field.zero
+    return binforms.BinaryForm(field, [zero] * min(la, lb) + core + [zero] * min(ta, tb))
+
+
+def scan_roots_gfp(poly, field):
+    """Roots in F_p with multiplicities: every x in F_p evaluated at once,
+    multiplicities by repeated division."""
+    p = field.p
+    xs = np.arange(p, dtype=np.int64)
+    vals = np.zeros(p, dtype=np.int64)
+    for c in reversed(poly):
+        vals = (vals * xs + c.value) % p
+    out = []
+    for x in np.nonzero(vals == 0)[0]:
+        x, mult, rest = field(int(x)), 0, list(poly)
+        while True:
+            rest, rem = poly_divmod(rest, [-x, field.one], field)
+            if rem:
+                break
+            mult += 1
+        out.append((x, mult))
+    return out
+
+
+def collision_biform(f_coeffs, g_coeffs, field, degree):
+    """f(P) g(P') - g(P) f(P') for two degree-d forms, entry by entry.
+
+    Coefficient lists are in the dual monomial order used by the curve module
+    (x^d, x^{d-1} y, ..., y^d), so index k carries a^(d-k) b^k.
+    """
+    d = degree
+    out = [[field.zero] * (d + 1) for _ in range(d + 1)]
+    for k1 in range(d + 1):
+        for k2 in range(d + 1):
+            out[d - k1][d - k2] = field(f_coeffs[k1]) * field(g_coeffs[k2]) - field(
+                g_coeffs[k1]
+            ) * field(f_coeffs[k2])
+    return binforms.BiForm(field, out, d, d)
+
+
+def collision_forms(center):
+    """The collision biforms of each pair i < j of basis forms of M, divided by
+    the diagonal form, in the order the secant combinations draw their c_ij."""
+    field, d = center.field, center.degree
+    m_rows = center.m_basis()
+    return [
+        collision_biform(m_rows[i], m_rows[j], field, d).divide_diagonal()
+        for i in range(len(m_rows))
+        for j in range(i + 1, len(m_rows))
+    ]
+
+
+def biform_columns(h):
+    """The coefficient of each P'-monomial, as a binary form in the first point."""
+    return [
+        binforms.BinaryForm(h.field, [h.coeffs[i][j] for i in range(h.deg_p + 1)])
+        for j in range(h.deg_q + 1)
+    ]
+
+
+def _strip_first_point_content(h):
+    """(h divided by the gcd of its column forms, that gcd or None if a unit)."""
+    field = h.field
+    cols = biform_columns(h)
+    content = functools.reduce(oracle_form_gcd, [c for c in cols if not c.is_zero()])
+    if binforms.form_is_unit(content):
+        return h, None
+    new_dp = h.deg_p - content.formal_degree
+    new_cols = []
+    for c in cols:
+        if c.is_zero():
+            new_cols.append([field.zero] * (new_dp + 1))
+            continue
+        quot, rem = poly_divmod(list(c.coeffs), list(content.coeffs), field)
+        assert not rem
+        new_cols.append(quot + [field.zero] * (new_dp + 1 - len(quot)))
+    rows = [[new_cols[j][i] for j in range(h.deg_q + 1)] for i in range(new_dp + 1)]
+    return binforms.BiForm(field, rows, new_dp, h.deg_q), content
+
+
+def _swap(h):
+    rows = [[h.coeffs[i][j] for i in range(h.deg_p + 1)] for j in range(h.deg_q + 1)]
+    return binforms.BiForm(h.field, rows, h.deg_q, h.deg_p)
+
+
+def pairwise_secant_roots(center) -> set:
+    """The pairwise secant route: every collision biform, divided by the
+    diagonal, has its content stripped in both points and is normalized and
+    deduplicated; the candidates are the roots of the gcd of the resultants
+    of all pairs, stopping only at a unit, and the roots of every content."""
+    hs, contents = {}, []
+    for h in collision_forms(center):
+        h, c1 = _strip_first_point_content(h)
+        h, c2 = _strip_first_point_content(_swap(h))
+        h = _swap(h)
+        contents += [c for c in (c1, c2) if c is not None]
+        lead = next(c for row in h.coeffs for c in row if c)
+        key = tuple(tuple(c / lead for c in row) for row in h.coeffs)
+        hs.setdefault((h.deg_p, h.deg_q, key), h)
+    hs = list(hs.values())
+    acc = None
+    for i in range(len(hs)):
+        for j in range(i + 1, len(hs)):
+            res = binforms.resultant_in_q(hs[i], hs[j])
+            if not res.is_zero():
+                acc = res if acc is None else binforms.form_gcd(acc, res)
+        if acc is not None and binforms.form_is_unit(acc):
+            break
+    forms = contents + ([acc] if acc is not None else [])
+    return {pt for form in forms for pt, _ in binforms.projective_roots(form)[0]}

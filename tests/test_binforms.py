@@ -1,6 +1,7 @@
 import random
 import time
 from collections import Counter
+from itertools import islice
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -13,18 +14,26 @@ from gapcurve.binforms import (
     BiForm,
     BinaryForm,
     _newton,
-    _poly_gcd,
+    _divides,
+    _divmod,
     _split_parts,
-    collision_biform,
     derivative_a,
-    divide_exact,
     form_gcd,
     gcd_many,
     projective_roots,
     resultant_in_q,
 )
-from gapcurve.errors import GapcurveError, ValidationError
+from gapcurve.errors import GapcurveError
 from gapcurve.fields import GF, QQ
+
+from conftest import (
+    biform_columns,
+    collision_biform,
+    oracle_form_gcd,
+    poly_gcd,
+    primitive,
+    scan_roots_gfp,
+)
 
 
 def poly_from_roots(field, roots, lead=1):
@@ -258,13 +267,16 @@ def test_derivative():
 
 
 def test_divide_exact():
-    field = QQ
-    f = poly_from_roots(field, [1, 2, 3])
-    g = poly_from_roots(field, [2])
-    q = divide_exact(f, g)
-    assert form_gcd(q, poly_from_roots(field, [1])).formal_degree >= 1
-    with pytest.raises(ValidationError):
-        divide_exact(poly_from_roots(field, [1, 2]), poly_from_roots(field, [5]))
+    # division over Z: (a - b)(a - 2b)(a - 3b) by (a - 2b), and refusals
+    f = primitive(poly_from_roots(QQ, [1, 2, 3]).coeffs)
+    assert _divmod(f, [-2, 1], 0) == (primitive(poly_from_roots(QQ, [1, 3]).coeffs), [])
+    assert _divides([-2, 1], f) and not _divides([-5, 1], f)
+    # 2a - 1 divides 2a^2 + 5a - 3 over Z, but not a^2 - 1 (quotient a/2 + 1/4)
+    assert _divmod([-3, 5, 2], [-1, 2], 0) == ([3, 1], [])
+    assert _divmod([-1, 0, 1], [-1, 2], 0) is None
+    assert not _divides([-3, 5, 2], [-1, 2])
+    # the same division mod 7, where 2 is a unit
+    assert _divmod([-1, 0, 1], [-1, 2], 7) == ([2, 4], [1])
 
 
 def test_collision_biform_diagonal_division():
@@ -418,7 +430,7 @@ def _euclid_form_gcd(f, g):
     """form_gcd with the Fraction Euclid on the cores."""
     la, ta, fa = _split_parts(f)
     lb, tb, fb = _split_parts(g)
-    core = _poly_gcd(fa, fb, QQ)
+    core = poly_gcd(fa, fb, QQ)
     return BinaryForm(QQ, [0] * min(la, lb) + core + [0] * min(ta, tb))
 
 
@@ -452,10 +464,10 @@ def test_resultant_over_fp_matches_generic_route(pair):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(h1=biforms(), h2=biforms())
 def test_form_gcd_over_z_matches_euclid(h1, h2):
-    forms = [c for h in (h1, h2) for c in h.p_columns() if not c.is_zero()]
+    forms = [c for h in (h1, h2) for c in biform_columns(h) if not c.is_zero()]
     for f in forms:
         for g in forms:
-            assert form_gcd(f, g) == _euclid_form_gcd(f, g)
+            assert form_gcd(f, g) == _euclid_form_gcd(f, g) == oracle_form_gcd(f, g)
         # products share a factor, so the gcd is not a unit
         assert form_gcd(f.mul(forms[0]), f.mul(forms[-1])) == _euclid_form_gcd(
             f.mul(forms[0]), f.mul(forms[-1])
@@ -496,6 +508,108 @@ def test_form_gcd_edge_cases():
     assert form_gcd(fb, fb) == _euclid_form_gcd(fb, fb)
     zero = BinaryForm(QQ, [0, 0, 0])
     assert form_gcd(zero, fb) == fb and form_gcd(fb, zero) == fb
+
+
+# ---------------------------------------------------------------------------
+# the modular gcd against the PRS and Euclid oracles
+
+
+def _random_form(field, rng, degree, height):
+    lo = -height if field == QQ else 0
+    hi = height if field == QQ else field.p - 1
+    cs = [field(rng.randint(lo, hi)) for _ in range(degree + 1)]
+    if field == QQ:
+        cs = [c / rng.randint(1, 9) for c in cs]
+    return BinaryForm(field, cs)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007), GF(3)], ids=["QQ", "GF(10007)", "GF(3)"])
+def test_form_gcd_matches_prs_and_euclid_oracles(field):
+    # a planted common factor, at times with powers of a and b, times random cofactors
+    rng = random.Random(20261020)
+    for height in (9, 10**20):
+        for _ in range(25):
+            common = _random_form(field, rng, rng.randint(0, 4), height)
+            f, g = (common.mul(_random_form(field, rng, rng.randint(0, 6), height)) for _ in "fg")
+            if f.is_zero() or g.is_zero():
+                continue
+            low, top = rng.randint(0, 2), rng.randint(0, 2)
+            f = BinaryForm(field, [0] * low + list(f.coeffs) + [0] * top)
+            got = form_gcd(f, g)
+            assert got == oracle_form_gcd(f, g)
+            if field == QQ:
+                assert got == _euclid_form_gcd(f, g)
+
+
+def test_form_gcd_skips_an_unlucky_prime(monkeypatch):
+    # the cofactors a - b and a - (1 + q) b are coprime over Q, but equal mod q;
+    # the image mod q has degree 2, one more than the gcd a + c b, and c > 2^40
+    # needs the CRT of two primes
+    q = 2_147_483_629  # a 31-bit prime below 2^31 - 1
+    common = poly_from_roots(QQ, [-(2**40 + 3)])
+    f, g = common.mul(poly_from_roots(QQ, [1])), common.mul(poly_from_roots(QQ, [1 + q]))
+    real_primes, real_gcd = binforms._gcd_primes, binforms._gcd_mod
+    for first in ([q], [(1 << 31) - 1, q]):  # q first restarts the CRT, q second is dropped
+        used = []
+
+        def spy(a, b, p):
+            used.append((p, len(real_gcd(a, b, p)) - 1))
+            return real_gcd(a, b, p)
+
+        rest = [p for p in islice(real_primes(), 6) if p not in first]
+        monkeypatch.setattr(binforms, "_gcd_primes", lambda: iter(first + rest))
+        monkeypatch.setattr(binforms, "_gcd_mod", spy)
+        assert form_gcd(f, g) == common
+        assert (q, 2) in used and [d for _, d in used].count(1) == 2, used
+
+
+def test_form_gcd_of_large_resultants_matches_sympy():
+    # forms of degree ~12 with 60-bit coefficients and a planted cubic common factor
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(7)
+    for _ in range(4):
+        common = _random_form(QQ, rng, 3, 2**60)
+        f, g = (common.mul(_random_form(QQ, rng, 9, 2**60)) for _ in "fg")
+        to_poly = lambda h: sympy.Poly(
+            [sympy.Rational(c.numerator, c.denominator) for c in h.coeffs[::-1]], x
+        )
+        want = sympy.gcd(to_poly(f), to_poly(g)).monic()
+        got = form_gcd(f, g)
+        assert [Fraction(int(c.p), int(c.q)) for c in want.all_coeffs()[::-1]] == list(got.coeffs)
+        assert got == oracle_form_gcd(f, g)
+
+
+# ---------------------------------------------------------------------------
+# F_p roots by gcd(f, x^p - x) and splitting, against the O(p) scan
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 10007])
+def test_roots_gfp_match_the_scan_oracle(p):
+    field = GF(p)
+    rng = random.Random(p)
+    for _ in range(40):
+        roots = [rng.randrange(p) for _ in range(rng.randint(0, 6))]
+        cofactor = _random_form(field, rng, rng.randint(0, 4), 0)
+        poly = list(poly_from_roots(field, roots).mul(cofactor).coeffs)
+        while poly and not poly[-1]:
+            poly.pop()
+        if len(poly) < 2:
+            continue
+        assert binforms._roots_gfp(poly, field) == scan_roots_gfp(poly, field)
+
+
+def test_roots_gfp_at_the_largest_prime():
+    # no array of p entries: the roots of (a - u b)^2 (a - v b) (a^2 - s b^2) mod 2^31 - 1
+    p = (1 << 31) - 1
+    field = GF(p)
+    s = next(x for x in range(2, 50) if pow(x, (p - 1) // 2, p) == p - 1)
+    u, v = 2**31 - 2, 123456789
+    form = poly_from_roots(field, [u, u, v]).mul(BinaryForm(field, [-s, 0, 1]))
+    start = time.monotonic()
+    found, residual = projective_roots(form)
+    assert time.monotonic() - start < 1
+    assert found == [((v, 1), 1), ((u, 1), 2)] and residual == 2
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +656,7 @@ def test_resultant_and_gcd_match_sympy():
 
         # form_gcd of two first-point columns sharing a planted factor
         common = poly_from_roots(QQ, [rational()], lead=rational() or 1)
-        f, g = (common.mul(c) for c in (hs[0].p_columns()[0], hs[1].p_columns()[-1]))
+        f, g = (common.mul(c) for c in (biform_columns(hs[0])[0], biform_columns(hs[1])[-1]))
         if f.is_zero() or g.is_zero():
             continue
         top = min(_split_parts(f)[1], _split_parts(g)[1])

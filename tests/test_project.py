@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from gapcurve import linalg, project
+from gapcurve.binforms import BinaryForm, form_gcd
 from gapcurve.classify import enumerate_types
 from gapcurve.curve import ExpansionCurveModel, Multifiltration, RationalNormalCurve
 from gapcurve.errors import (
@@ -28,7 +29,9 @@ from gapcurve.project import (
     _choose_section,
     _cluster_series_builder,
     _flag_dims,
+    _combination,
     _point_image,
+    _secant_candidate_form,
     analyze,
     analyze_at_points,
     certify_no_extension_ramification,
@@ -39,7 +42,13 @@ from gapcurve.project import (
 from gapcurve.schubert import sample_center, stratum_spec
 from gapcurve.series import SeriesSubspace
 
-from conftest import per_cell_flag_dims, per_cell_jet_rank, proportional
+from conftest import (
+    collision_forms,
+    pairwise_secant_roots,
+    per_cell_flag_dims,
+    per_cell_jet_rank,
+    proportional,
+)
 
 F = GF(10007)
 
@@ -454,7 +463,7 @@ def test_certify_flags_conjugate_pair_over_fp(p):
     # a center through the rational midpoint of the secant joining the
     # conjugate points (+-sqrt(s) : 1), s a non-residue: the rational scan
     # cannot see the collapsed fiber, the degree check reports it.  At p = 31
-    # and 11 the degree-60 secant resultant has more nodes than F_p has points.
+    # and 11 the degree-72 secant resultants have more nodes than F_p has points.
     F = GF(p)
     s = next(x for x in range(2, 50) if pow(x, (p - 1) // 2, p) == p - 1)
     d = 7
@@ -469,11 +478,102 @@ def test_certify_flags_conjugate_pair_over_fp(p):
     assert check_center(c, curve).basepoint_free
     out = certify_no_extension_ramification(c, curve)
     assert not out["complete"]
-    assert out["secant_candidate_residual_degree"] == 14
+    # the residual is the planted conjugate pair alone: a^2 - s b^2
+    assert out["secant_candidate_residual_degree"] == 2
+    pair = BinaryForm(F, [F(-s), F.zero, F.one])
+    assert form_gcd(_secant_candidate_form(c), pair) == pair
     # the conjugate fiber has no rational member for the scan to report
     scanned = {q.coords() for cl in find_ramification(c, curve) for q in cl.points}
     conjugate_fiber_markers = {(F(x), F.one) for x in (s,)}  # sqrt(s) itself is irrational
     assert not (scanned & conjugate_fiber_markers)
+
+
+# ---------------------------------------------------------------------------
+# the secant candidate: two pairs of random combinations of the collision biforms
+
+
+def _candidate_roots_of(center):
+    return {pt for pt, _ in project.binforms.projective_roots(_secant_candidate_form(center))[0]}
+
+
+@pytest.mark.parametrize("field", [QQ, F], ids=["QQ", "GF(10007)"])
+def test_secant_candidate_within_the_pairwise_route(field):
+    """On stratum members at d = 5..7 every cluster point is a root of the
+    candidate, and the candidate's roots are among those of the pairwise
+    route over all pairs with content forms."""
+    rng = random.Random(20261020)
+    types = [t for t in enumerate_types() if t.delta <= 2]
+    for d, count in ((5, 3), (6, 1), (7, 1)):
+        curve = RationalNormalCurve(field, d)
+        for stype in rng.sample(types, count):
+            points = []
+            while len(points) < stype.branches:
+                q = curve.point(rng.randint(-9, 9) if field is QQ else rng.randrange(field.p), 1)
+                if q not in points:
+                    points.append(q)
+            spec = stratum_spec(stype, points, curve, 2)
+            center = sample_center(spec, rng.randrange(10**6), curve)
+            roots = _candidate_roots_of(center)
+            assert roots <= pairwise_secant_roots(center), (d, stype.label)
+            placed = {q.coords() for cl in analyze(center, curve).clusters for q in cl.points}
+            assert set(points) <= {curve.point(*q) for q in placed}
+            assert placed <= roots, (d, stype.label)
+
+
+@pytest.mark.parametrize("field", [QQ, F, GF(7)], ids=["QQ", "GF(10007)", "GF(7)"])
+def test_combination_matches_the_sum_of_collision_biforms(field):
+    # M^T (C M), divided once by the diagonal, against sum c_ij h_ij built pair by pair
+    rng = random.Random(11)
+    for d, ell in ((4, 1), (5, 2), (7, 3)):
+        rows = [[field(rng.randint(-9, 9)) / field(rng.randint(1, 5)) for _ in range(d + 1)]
+                for _ in range(ell)]
+        center = ProjectionCenter.from_rows(field, d, rows)
+        hs = collision_forms(center)
+        draws, replay = random.Random(d), random.Random(d)
+        for _ in range(2):
+            cs = [field(draws.randint(1, project._SECANT_COEFFICIENT)) for _ in hs]
+            want = [linalg.combine(cs, [h.coeffs[i] for h in hs], field, d) for i in range(d)]
+            assert _combination(center, replay).coeffs == want
+
+
+def test_generic_centers_at_d9_over_q_are_complete():
+    # the pairwise route left a degree-72 residual here and raised
+    rng = random.Random(5)
+    curve = RationalNormalCurve(QQ, 9)
+    for _ in range(4):
+        rows = [[QQ(rng.randint(-9, 9)) for _ in range(10)] for _ in range(3)]
+        report = analyze(ProjectionCenter.from_rows(QQ, 9, rows), curve)
+        assert report.completeness["complete"] is True and report.clusters == []
+
+
+def test_sign_centers_at_d8_over_q_analyze():
+    # entries in {-1, 0, 1}: the pairwise route refused draws 8, 15 and 24 on
+    # spurious content factors
+    rng = random.Random(8)
+    draws = [[[QQ(rng.randint(-1, 1)) for _ in range(9)] for _ in range(3)] for _ in range(30)]
+    curve = RationalNormalCurve(QQ, 8)
+    for k in (8, 15, 24):
+        report = analyze(ProjectionCenter.from_rows(QQ, 8, draws[k]), curve)
+        assert report.completeness["complete"] is True, k
+
+
+def test_generic_centers_at_d9_over_fp_certify():
+    # the pairwise route reported secant residuals of 48-72 here
+    rng = random.Random(3)
+    curve = RationalNormalCurve(F, 9)
+    for _ in range(3):
+        rows = [[F(rng.randrange(F.p)) for _ in range(10)] for _ in range(3)]
+        report = analyze(ProjectionCenter.from_rows(F, 9, rows), curve, certify=True)
+        assert report.completeness["complete"] is True
+        assert report.completeness["secant_candidate_residual_degree"] == 0
+
+
+def test_vanishing_combination_resultants_are_a_violation():
+    # M = <x^3, y^3> (n = 1): one collision biform, so every pair of
+    # combinations shares it and each resultant vanishes identically
+    center = ProjectionCenter.from_linear_system(QQ, 3, monomial_rows(3, [0, 3]))
+    with pytest.raises(HypothesisViolationError, match="vanish identically"):
+        _secant_candidate_form(center)
 
 
 def test_irrational_ramification_over_q():
@@ -997,6 +1097,26 @@ def test_int64_cluster_builder_matches_boxed_series():
                 assert all(proportional(g, w) for g, w in zip(got.tolist(), want))
             else:
                 assert linalg.elements(got, field) == want
+
+
+def test_basepoint_at_the_largest_prime_exits_3():
+    """check_center finds the basepoint (1 : 1) at p = 2^31 - 1 without an
+    array of p entries: the CLI exits 3 under a 2 GB address-space limit."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = Path(project.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    params = '{"degree": 5, "center": {"rows": [[1, 1, 1, 1, 1, 1]]}}'
+    out = subprocess.run(
+        [sys.executable, "-m", "gapcurve.cli", "analyze-projection", "--field", "Fp:2147483647",
+         "--params", params],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit,
+    )
+    assert out.returncode == 3, out.stderr
+    assert "(1 : 1)" in out.stdout + out.stderr
 
 
 # ---------------------------------------------------------------------------
