@@ -17,25 +17,29 @@ rationals the same root finder runs modulo a small prime, and each root is
 lifted p-adically until the symmetric residue determines it (Loos, SIAM J.
 Comput. 12, 1983), so no coefficient size limits it.
 
-Resultants run over Z for both fields.  ``resultant_in_q`` lifts each biform
-into Z: over Q by the lcm of its denominators, over F_p as its residues.  It
-takes every sample as an integer Bareiss determinant and interpolates with
-Newton divided differences that divide exactly: at integer nodes the divided
-difference of x^j is the complete homogeneous symmetric polynomial h_{j-k} of
-the nodes, so every divided difference of an integer polynomial is an
-integer.  The Sylvester determinant is a polynomial with integer coefficients
-in the entries, so the integer resultant of the residues, reduced mod p at the
-end, is the resultant over F_p, with no lower bound on p.  Only Python ints
-are used: no floats and no fixed-width integers, so no overflow bound
-applies.
+Exact resultants run over Z for both fields.  ``resultant_z`` takes the
+integer rows of two biforms (over F_p, the residues), every sample as an
+integer Bareiss determinant, and interpolates with Newton divided differences
+that divide exactly: at integer nodes the divided difference of x^j is the
+complete homogeneous symmetric polynomial h_{j-k} of the nodes.  The Sylvester
+determinant has integer coefficients in the entries, so the integer resultant
+of the residues, reduced mod p, is the one over F_p, for every p.
+
+``resultant_images`` takes the same resultants mod a prime q in one int64
+kernel, for ``unit_certificate``.  Its bound, which it enforces: q < 2^31, so
+a product of two residues stays below 2^62 and is reduced before any add; its
+one matrix product splits a factor into 16-bit halves, so each of its
+deg + 1 < 2^16 terms stays below 2^47 and their sum below 2^63.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, reduce
-from itertools import count
+from functools import cache, lru_cache, reduce
+from itertools import accumulate, count
 from math import gcd as int_gcd, lcm
+
+import numpy as np
 
 from .errors import GapcurveError, ValidationError
 from .fields import PrimeField, is_prime
@@ -319,73 +323,106 @@ def _sylvester_det_int(fc, gc) -> int:
     return _bareiss_det_int(rows)
 
 
-class BiForm:
-    """Bihomogeneous form in (a, b) x (a', b'): a matrix of coefficients.
-
-    coeffs[i][j] multiplies a^i b^(da-i) a'^j b'^(db-j).
+def resultant_z(rows1, rows2):
+    """Resultant over Z eliminating the second point of two integer biforms,
+    given as rows: rows[i][j] multiplies a^i b^(dp-i) a'^j b'^(dq-j).  The
+    low-first int list of formal degree dq1·dp2 + dq2·dp1, fixed by its values
+    at (x : 1) for the nodes x = 0, 1, -1, 2, ...
     """
-
-    __slots__ = ("field", "coeffs", "deg_p", "deg_q")
-
-    def __init__(self, field, coeffs, deg_p, deg_q):
-        self.field = field
-        self.coeffs = [[field(c) for c in row] for row in coeffs]
-        self.deg_p = deg_p
-        self.deg_q = deg_q
-        if len(self.coeffs) != deg_p + 1 or any(len(r) != deg_q + 1 for r in self.coeffs):
-            raise ValidationError("biform coefficient shape mismatch")
-
-    def is_zero(self):
-        return not any(any(row) for row in self.coeffs)
-
-    def divide_diagonal(self) -> "BiForm":
-        """Exact division by (a b' - a' b); requires vanishing on the diagonal."""
-        field = self.field
-        dp, dq = self.deg_p, self.deg_q
-        # long division: process monomials in lexicographic order of (i, j)
-        rem = [row[:] for row in self.coeffs]
-        quot = [[field.zero] * dq for _ in range(dp)]
-        # divisor has monomials a b' (coeff 1) and a' b (coeff -1)
-        for i in range(dp, 0, -1):
-            for j in range(dq):
-                c = rem[i][j]
-                if not c:
-                    continue
-                # kill a^i b^(dp-i) a'^j b'^(dq-j) with lead a*b' of divisor
-                quot[i - 1][j] = quot[i - 1][j] + c
-                rem[i][j] = field.zero
-                rem[i - 1][j + 1] = rem[i - 1][j + 1] + c
-        if any(any(row) for row in rem):
-            raise ValidationError("biform is not divisible by the diagonal form")
-        return BiForm(field, quot, dp - 1, dq - 1)
-
-
-def resultant_in_q(h1: BiForm, h2: BiForm) -> BinaryForm:
-    """Resultant eliminating the second point, by evaluation-interpolation.
-
-    Returns a binary form in the first point of formal degree
-    deg = h1.deg_q * h2.deg_p + h2.deg_q * h1.deg_p, fixed by its values at
-    (x : 1) for the deg + 1 small nodes x = 0, 1, -1, 2, ...  The samples are
-    taken over Z (see the module docstring), and the result is divided by
-    l1^h2.deg_q * l2^h1.deg_q, l_i the lift scale of h_i, in the field.
-    """
-    deg = h1.deg_q * h2.deg_p + h2.deg_q * h1.deg_p
-    (l1, rows1), (l2, rows2) = _integer_rows(h1), _integer_rows(h2)
+    deg = _resultant_degree(rows1, rows2)
     xs = [t // 2 if t % 2 else -(t // 2) for t in range(1, deg + 2)]
-    coeffs = _newton(xs, [_sylvester_det_int(_at(rows1, x), _at(rows2, x)) for x in xs])
-    scale = l1**h2.deg_q * l2**h1.deg_q
-    # index i is the a^i b^(deg-i) coefficient
-    return BinaryForm(h1.field, [Fraction(c, scale) for c in coeffs])
+    return _newton(xs, [_sylvester_det_int(_at(rows1, x), _at(rows2, x)) for x in xs])
 
 
-def _integer_rows(h: BiForm):
-    """(l, integer rows) lifting a biform into Z: over Q, l is the lcm of the
-    denominators and the rows are l times the coefficients; over F_p, l = 1
-    and the rows are the residues."""
-    if isinstance(h.field, PrimeField):
-        return 1, [[c.value for c in row] for row in h.coeffs]
-    den = reduce(lcm, (c.denominator for row in h.coeffs for c in row), 1)
-    return den, [[c.numerator * (den // c.denominator) for c in row] for row in h.coeffs]
+def _resultant_degree(rows1, rows2) -> int:
+    return (len(rows1[0]) - 1) * (len(rows2) - 1) + (len(rows2[0]) - 1) * (len(rows1) - 1)
+
+
+def resultant_images(pairs, q: int) -> np.ndarray:
+    """``resultant_z`` mod a prime q for pairs of integer biforms of one shape
+    pair, as a (len(pairs), deg + 1) int64 array, with the bound of the module
+    docstring checked.  The Sylvester matrices of every pair at the nodes
+    x = 0, ..., deg (distinct mod q > deg + 1) are one batch of determinants."""
+    deg = _resultant_degree(*pairs[0])
+    if not deg + 1 < q < 1 << 31 or deg + 1 >= 1 << 16:
+        raise GapcurveError(f"no int64 resultant images of degree {deg} mod {q}")
+    xs = np.arange(deg + 1, dtype=np.int64)
+    cols = []
+    for hs in zip(*pairs):
+        # the second-point coefficients, high first, at (x : 1) for every node
+        a = np.array([[[c % q for c in row[::-1]] for row in h] for h in hs], dtype=np.int64)
+        acc = np.repeat(a[:, -1:], deg + 1, axis=1)
+        for i in range(a.shape[1] - 2, -1, -1):
+            acc = (acc * xs[:, None] % q + a[:, i, None]) % q
+        cols.append(acc.reshape(-1, a.shape[2]))
+    f, g = cols
+    m, n = f.shape[1] - 1, g.shape[1] - 1
+    syl = np.zeros((len(f), m + n, m + n), dtype=np.int64)
+    for i in range(n):
+        syl[:, i, i : i + m + 1] = f
+    for i in range(m):
+        syl[:, n + i, i : i + n + 1] = g
+    dets = _dets_mod(syl, q).reshape(len(pairs), deg + 1).T
+    w = _interpolation(deg + 1, q)
+    # w @ dets by 16-bit halves: each of the deg + 1 < 2^16 terms stays below 2^47
+    return ((w @ (dets >> 16) % q << 16) + w @ (dets & 0xFFFF) % q).T % q
+
+
+def _dets_mod(a, q: int) -> np.ndarray:
+    """Determinants mod q of a batch of matrices with entries in [0, q), by
+    fraction-free elimination in place: row i becomes piv·row_i - a[i, c]·row_c,
+    which multiplies the determinant by piv^(n - c - 1) at column c.  The
+    product of those powers, that of the prefix products of the pivots, is
+    divided out with one inverse per matrix at the end."""
+    size, n = a.shape[0], a.shape[1]
+    at = np.arange(size)
+    prefix, scale = np.ones(size, np.int64), np.ones(size, np.int64)
+    live, odd = np.ones(size, bool), np.zeros(size, bool)
+    for c in range(n):
+        nonzero = a[:, c:, c] != 0
+        live &= nonzero.any(axis=1)
+        r = c + nonzero.argmax(axis=1)
+        odd ^= r != c
+        a[at, c], a[at, r] = a[at, r], a[at, c]
+        piv = np.where(live, a[:, c, c], 1)
+        prefix = prefix * piv % q
+        if c < n - 1:
+            scale = scale * prefix % q
+        below = a[:, c + 1 :, c:]
+        below[:] = (piv[:, None, None] * below % q - below[:, :, :1] * a[:, c, None, c:] % q) % q
+    det = prefix * np.array([pow(int(s), -1, q) for s in scale], dtype=np.int64) % q
+    return np.where(live, np.where(odd, (q - det) % q, det), 0)
+
+
+@lru_cache(maxsize=16)
+def _interpolation(n: int, q: int) -> np.ndarray:
+    """The n x n matrix mod q taking values at the nodes 0, ..., n - 1 to the
+    low-first coefficients of their interpolant, in O(n^2): column i holds
+    prod_{j != i} (x - j) / (i - j), the quotient of prod_j (x - j) by x - i."""
+    master = np.zeros(n + 1, np.int64)
+    master[0] = 1
+    for j in range(n):
+        master = (np.roll(master, 1) - j * master % q) % q
+    quot = np.zeros((n, n), np.int64)
+    quot[:, n - 1] = 1
+    for k in range(n - 1, 0, -1):
+        quot[:, k - 1] = (master[k] + np.arange(n) * quot[:, k] % q) % q
+    fact = list(accumulate(range(1, n), lambda f, i: f * i % q, initial=1))
+    weights = [pow((-1) ** (n - 1 - i) * fact[i] * fact[n - 1 - i], -1, q) for i in range(n)]
+    out = (quot * np.array(weights, dtype=np.int64)[:, None] % q).T.copy()
+    out.setflags(write=False)
+    return out
+
+
+def unit_certificate(pairs, q: int) -> bool:
+    """Are the images mod q of the resultants of two pairs of integer biforms
+    nonzero with a constant projective gcd?  A common zero at (1:0) is a common
+    drop below the formal degree.  False when the kernel's bound leaves none."""
+    deg = _resultant_degree(*pairs[0])
+    if deg + 1 >= min(q, 1 << 16):
+        return False
+    f, g = (_trim(r.tolist()) for r in resultant_images(pairs, q))
+    return bool(f and g) and deg + 1 in (len(f), len(g)) and len(_gcd_mod(f, g, q)) == 1
 
 
 def _at(rows, x: int):

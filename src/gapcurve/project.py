@@ -19,16 +19,18 @@ fields are not seen by the scan and can optionally be certified absent.
 Over the rationals, detection is symbolic: Wronskian gcds for tangency, and
 for secants one candidate form, the gcd of res_P'(H_1, H_2) over two pairs of
 random integer combinations H of the collision biforms, whose rational roots
-are extracted.  Any locus that cannot be resolved to rational points is an
-explicit error.  The same two forms give the residual degrees of ``certify``
-over a prime field.
+are extracted.  The combinations are built on integer rows, and the two
+resultants are first taken mod one prime: when those images are coprime the
+candidate is 1 and no exact resultant is computed.  Any locus that cannot be
+resolved to rational points is an explicit error.  The same two forms give
+the residual degrees of ``certify`` over a prime field.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -288,10 +290,12 @@ def _ramification_scan_gfp(center: ProjectionCenter, curve):
 
 
 # The secant candidate: how many pairs of combinations are drawn before the
-# resultants count as vanishing identically, the fixed seed, the largest c_ij.
+# resultants count as vanishing identically, the fixed seed, the largest c_ij
+# and the prime of the unit certificate over Q, the largest below 2^31.
 _SECANT_DRAWS = 6
 _SECANT_SEED = 20261020
 _SECANT_COEFFICIENT = 9
+_CERTIFICATE_PRIME = (1 << 31) - 1
 
 
 def _tangency_form(center: ProjectionCenter):
@@ -318,29 +322,32 @@ def _tangency_form(center: ProjectionCenter):
 
 
 def _combination(center: ProjectionCenter, rng):
-    """H = sum_{i<j} c_ij h_ij for random integers c_ij in 1..9.
+    """H = sum_{i<j} c_ij h_ij for random integers c_ij in 1..9, as integer rows.
 
     h_ij is the collision biform f_i(P) f_j(P') - f_j(P) f_i(P') of the basis
     forms of M, divided by the diagonal form (a b' - a' b), of bidegree
     (d - 1, d - 1).  Before the division the sum is sum_{i,j} C_ij f_i(P)
-    f_j(P') for the antisymmetric C with C_ij = c_ij above the diagonal, so
-    it is built as M^T (C M) with one division and no h_ij of its own.
+    f_j(P') for the antisymmetric C with C_ij = c_ij above the diagonal: M^T
+    (C M), with one exact division.  Over Q, M is scaled into Z by one factor
+    L common to all its forms, so the rows are L^2 H; over F_p, the residues.
     """
-    field, d = center.field, center.degree
-    m_rows = center.m_basis()
-    k = len(m_rows)
-    c = [[field.zero] * k for _ in range(k)]
+    p, d, k = center.field.characteristic, center.degree, center.n + 1
+    # all of M as one row: one common factor over Q, not one per form
+    m = linalg.matrix([sum(center.m_basis(), [])], center.field, k * (d + 1))
+    m = m.reshape(k, d + 1).tolist()
+    c = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            c[i][j] = field(rng.randint(1, _SECANT_COEFFICIENT))
+            c[i][j] = rng.randint(1, _SECANT_COEFFICIENT)
             c[j][i] = -c[i][j]
-    cm = [linalg.combine(row, m_rows, field, d + 1) for row in c]
+    cm = [[sum(x * row[t] for x, row in zip(ci, m)) for t in range(d + 1)] for ci in c]
     # index s of a row carries x^(d-s) y^s, that is a^(d-s) b^s
-    rows = [
-        [sum((m[d - s] * r[d - t] for m, r in zip(m_rows, cm)), field.zero) for t in range(d + 1)]
-        for s in range(d + 1)
-    ]
-    return binforms.BiForm(field, rows, d, d).divide_diagonal()
+    h = [[sum(u[d - s] * v[d - t] for u, v in zip(m, cm)) for t in range(d + 1)]
+         for s in range(d + 1)]
+    # long division by a b' - a' b: each quotient term is a sum along an antidiagonal
+    quot = [[sum(h[i + t][j - t] for t in range(min(d - i, j) + 1)) for j in range(d)]
+            for i in range(1, d + 1)]
+    return [[x % p for x in row] for row in quot] if p else quot
 
 
 def _secant_candidate_form(center: ProjectionCenter):
@@ -351,11 +358,27 @@ def _secant_candidate_form(center: ProjectionCenter):
     H, over the algebraic closure too, so the draws only decide how many
     spurious factors remain.  A resultant that vanishes identically means a
     common factor of H_1 and H_2 in P'; it is drawn again a few times.
+
+    Both resultants are first taken mod q = 2^31 - 1 (over F_p, where they
+    are the images, mod q = p if p > deg + 1): nonzero images with a constant
+    projective gcd prove the candidate is 1.  Over Q, were the resultants to
+    share a factor of positive degree, its primitive integer multiple g would
+    divide both over Z (Gauss's lemma); g mod q is then a nonzero form of
+    positive degree, and both images vanish at its root over the closure of
+    F_q.  Otherwise the exact resultants decide.
     """
+    field = center.field
     rng = random.Random(_SECANT_SEED)
+
+    def draw():
+        return _combination(center, rng), _combination(center, rng)
+
+    pairs = [draw(), draw()]
+    if binforms.unit_certificate(pairs, field.characteristic or _CERTIFICATE_PRIME):
+        return binforms.BinaryForm(field, [field.one])
     found = []
-    for _ in range(_SECANT_DRAWS):
-        res = binforms.resultant_in_q(_combination(center, rng), _combination(center, rng))
+    for pair in chain(pairs, (draw() for _ in range(_SECANT_DRAWS - 2))):
+        res = binforms.BinaryForm(field, binforms.resultant_z(*pair))
         if not res.is_zero():
             found.append(res)
             if len(found) == 2:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gapcurve import binforms, linalg
+from gapcurve import binforms, linalg, project
 from gapcurve.fields import GF, QQ
 
 
@@ -226,6 +226,58 @@ def scan_roots_gfp(poly, field):
     return out
 
 
+class BiForm:
+    """Bihomogeneous form in (a, b) x (a', b') over a field, the oracle for the
+    integer rows of ``project._combination``: coeffs[i][j] multiplies
+    a^i b^(deg_p-i) a'^j b'^(deg_q-j)."""
+
+    __slots__ = ("field", "coeffs", "deg_p", "deg_q")
+
+    def __init__(self, field, coeffs, deg_p, deg_q):
+        self.field = field
+        self.coeffs = [[field(c) for c in row] for row in coeffs]
+        self.deg_p = deg_p
+        self.deg_q = deg_q
+        assert len(self.coeffs) == deg_p + 1 and all(len(r) == deg_q + 1 for r in self.coeffs)
+
+    def divide_diagonal(self):
+        """Exact division by (a b' - a' b), term by term in field arithmetic."""
+        field = self.field
+        dp, dq = self.deg_p, self.deg_q
+        rem = [row[:] for row in self.coeffs]
+        quot = [[field.zero] * dq for _ in range(dp)]
+        # kill a^i b^(dp-i) a'^j b'^(dq-j) with the divisor's lead a b'
+        for i in range(dp, 0, -1):
+            for j in range(dq):
+                c = rem[i][j]
+                if not c:
+                    continue
+                quot[i - 1][j] = quot[i - 1][j] + c
+                rem[i][j] = field.zero
+                rem[i - 1][j + 1] = rem[i - 1][j + 1] + c
+        assert not any(any(row) for row in rem), "not divisible by the diagonal form"
+        return BiForm(field, quot, dp - 1, dq - 1)
+
+
+def integer_rows(h):
+    """(l, integer rows) lifting a biform into Z: over Q, l is the lcm of the
+    denominators and the rows are l times the coefficients; over F_p, l = 1
+    and the rows are the residues."""
+    if h.field.characteristic:
+        return 1, [[c.value for c in row] for row in h.coeffs]
+    den = functools.reduce(math.lcm, (c.denominator for row in h.coeffs for c in row), 1)
+    return den, [[c.numerator * (den // c.denominator) for c in row] for row in h.coeffs]
+
+
+def resultant_in_q(h1, h2):
+    """The resultant eliminating the second point in the biforms' field: the
+    integer resultant of their lifts, divided by l1^deg_q2 * l2^deg_q1."""
+    (l1, rows1), (l2, rows2) = integer_rows(h1), integer_rows(h2)
+    coeffs = binforms.resultant_z(rows1, rows2)
+    scale = l1**h2.deg_q * l2**h1.deg_q
+    return binforms.BinaryForm(h1.field, [Fraction(c, scale) for c in coeffs])
+
+
 def collision_biform(f_coeffs, g_coeffs, field, degree):
     """f(P) g(P') - g(P) f(P') for two degree-d forms, entry by entry.
 
@@ -239,7 +291,7 @@ def collision_biform(f_coeffs, g_coeffs, field, degree):
             out[d - k1][d - k2] = field(f_coeffs[k1]) * field(g_coeffs[k2]) - field(
                 g_coeffs[k1]
             ) * field(f_coeffs[k2])
-    return binforms.BiForm(field, out, d, d)
+    return BiForm(field, out, d, d)
 
 
 def collision_forms(center):
@@ -279,12 +331,12 @@ def _strip_first_point_content(h):
         assert not rem
         new_cols.append(quot + [field.zero] * (new_dp + 1 - len(quot)))
     rows = [[new_cols[j][i] for j in range(h.deg_q + 1)] for i in range(new_dp + 1)]
-    return binforms.BiForm(field, rows, new_dp, h.deg_q), content
+    return BiForm(field, rows, new_dp, h.deg_q), content
 
 
 def _swap(h):
     rows = [[h.coeffs[i][j] for i in range(h.deg_p + 1)] for j in range(h.deg_q + 1)]
-    return binforms.BiForm(h.field, rows, h.deg_q, h.deg_p)
+    return BiForm(h.field, rows, h.deg_q, h.deg_p)
 
 
 def pairwise_secant_roots(center) -> set:
@@ -305,10 +357,36 @@ def pairwise_secant_roots(center) -> set:
     acc = None
     for i in range(len(hs)):
         for j in range(i + 1, len(hs)):
-            res = binforms.resultant_in_q(hs[i], hs[j])
+            res = resultant_in_q(hs[i], hs[j])
             if not res.is_zero():
                 acc = res if acc is None else binforms.form_gcd(acc, res)
         if acc is not None and binforms.form_is_unit(acc):
             break
     forms = contents + ([acc] if acc is not None else [])
     return {pt for form in forms for pt, _ in binforms.projective_roots(form)[0]}
+
+
+def secant_combinations(center):
+    """sum c_ij h_ij over the collision biforms in field arithmetic, one after
+    another, with the draws of ``project._secant_candidate_form``."""
+    field, d = center.field, center.degree
+    hs = collision_forms(center)
+    rng = random.Random(project._SECANT_SEED)
+    while True:
+        cs = [field(rng.randint(1, project._SECANT_COEFFICIENT)) for _ in hs]
+        rows = [linalg.combine(cs, [h.coeffs[i] for h in hs], field, d) for i in range(d)]
+        yield BiForm(field, rows, d - 1, d - 1)
+
+
+def exact_secant_candidate(center):
+    """The secant candidate by the exact route alone: the gcd of the first two
+    resultants of pairs of ``secant_combinations`` that do not vanish."""
+    draws = secant_combinations(center)
+    found = []
+    for _ in range(project._SECANT_DRAWS):
+        res = resultant_in_q(next(draws), next(draws))
+        if not res.is_zero():
+            found.append(res)
+            if len(found) == 2:
+                return binforms.form_gcd(*found)
+    return None

@@ -5,13 +5,13 @@ from itertools import islice
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapcurve import binforms
 from gapcurve.binforms import (
-    BiForm,
     BinaryForm,
     _newton,
     _divides,
@@ -21,18 +21,22 @@ from gapcurve.binforms import (
     form_gcd,
     gcd_many,
     projective_roots,
-    resultant_in_q,
 )
 from gapcurve.errors import GapcurveError
 from gapcurve.fields import GF, QQ
+from gapcurve.project import ProjectionCenter
 
 from conftest import (
+    BiForm,
     biform_columns,
+    integer_rows,
     collision_biform,
     oracle_form_gcd,
     poly_gcd,
     primitive,
+    resultant_in_q,
     scan_roots_gfp,
+    secant_combinations,
 )
 
 
@@ -492,6 +496,83 @@ def test_resultant_edge_cases():
     assert res.coeffs == (Fraction(1, 2) - 3 * Fraction(-2, 3) + Fraction(4, 9),)
     consts = BiForm(QQ, [[Fraction(3, 2)], [0]], 1, 0), BiForm(QQ, [[5]], 0, 0)
     assert resultant_in_q(*consts).coeffs == (1,)
+
+
+# ---------------------------------------------------------------------------
+# the int64 image kernel against the exact route
+
+
+@pytest.mark.parametrize(
+    "field, qs", [(QQ, [2**31 - 1, 10007]), (GF(10007), [10007])], ids=["QQ", "GF(10007)"]
+)
+def test_resultant_images_match_the_exact_resultant(field, qs):
+    # secant combinations at d = 4..7 (degrees 18..72): the batched images of
+    # their integer rows are the exact resultant in the field, times the lift
+    # scale l1^dq2 l2^dq1, reduced mod q
+    rng = random.Random(24)
+    for d in range(4, 8):
+        rows = [[field(rng.randint(-9, 9)) / field(rng.randint(1, 5)) for _ in range(d + 1)]
+                for _ in range(2)]
+        draws = secant_combinations(ProjectionCenter.from_rows(field, d, rows))
+        hs = [(next(draws), next(draws)) for _ in range(2)]
+        lifted = [(integer_rows(h1), integer_rows(h2)) for h1, h2 in hs]
+        for q in qs:
+            images = binforms.resultant_images([(r1, r2) for (_, r1), (_, r2) in lifted], q)
+            for (h1, h2), ((l1, _), (l2, _)), image in zip(hs, lifted, images):
+                res = resultant_in_q(h1, h2)
+                scale = l1 ** (d - 1) * l2 ** (d - 1)
+                want = [c.value if field != QQ else int(c * scale) % q for c in res.coeffs]
+                assert image.tolist() == want, (d, q)
+
+
+@pytest.mark.parametrize("q", [2**31 - 1, 10007, 7])
+def test_batched_determinants_match_bareiss(q):
+    # one batch mixing singular matrices (a repeated row, a zero column) and
+    # ones that need row swaps (a zero leading entry), entries up to q - 1
+    rng = random.Random(q)
+    mats = []
+    for k in range(60):
+        n = rng.randint(1, 6)
+        mat = [[rng.choice([0, rng.randrange(q), q - 1 - rng.randrange(3)]) for _ in range(n)]
+               for _ in range(n)]
+        if k % 4 == 1 and n > 1:
+            mat[-1] = list(mat[0])
+        elif k % 4 == 2:
+            for row in mat:
+                row[n // 2] = 0
+        elif k % 4 == 3:
+            mat[0][0] = 0
+        mats.append(mat)
+    for n in range(1, 7):
+        batch = [m for m in mats if len(m) == n]
+        got = binforms._dets_mod(np.array(batch, dtype=np.int64), q).tolist()
+        assert got == [binforms._bareiss_det_int(m) % q for m in batch], n
+    assert any(binforms._bareiss_det_int(m) % q == 0 for m in mats)
+
+
+def test_interpolation_matrix_at_the_largest_prime():
+    # degree 128 is the resultant degree at d = 9: the cached matrix recovers a
+    # random polynomial from its values at 0..128 mod 2^31 - 1
+    q, n = 2**31 - 1, 129
+    rng = random.Random(9)
+    poly = [rng.randrange(q) for _ in range(n)]
+    values = [sum(c * pow(x, k, q) for k, c in enumerate(poly)) % q for x in range(n)]
+    w = binforms._interpolation(n, q).tolist()
+    assert [sum(a * y for a, y in zip(row, values)) % q for row in w] == poly
+
+
+def test_image_kernel_refuses_past_its_bound():
+    pair = ([[1, 2], [3, 4]], [[5, 6], [7, 8]])  # deg 2
+    assert binforms.resultant_images([pair], 5).shape == (1, 3)
+    for q in (3, 2**31 + 11):  # q <= deg + 1, q >= 2^31
+        with pytest.raises(GapcurveError):
+            binforms.resultant_images([pair], q)
+    assert not binforms.unit_certificate([pair, pair], 3)
+    # deg + 1 = 2^16 terms would overflow a sum of products below 2^47
+    wide = ([[1, 1]], [[1]] * (1 << 16))
+    with pytest.raises(GapcurveError):
+        binforms.resultant_images([wide], 2**31 - 1)
+    assert not binforms.unit_certificate([wide, wide], 2**31 - 1)
 
 
 def test_newton_over_z_refuses_an_inexact_division():

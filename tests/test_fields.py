@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gapcurve import fields
 from gapcurve.errors import ValidationError
-from gapcurve.fields import GF, QQ, field_from_name, is_prime
+from gapcurve.fields import GF, QQ, PrimeField, field_from_name, is_prime
 
 
 def test_prime_validation():
@@ -16,6 +17,15 @@ def test_prime_validation():
     with pytest.raises(ValidationError):
         GF(1)
     assert GF(10007).p == 10007
+
+
+def test_prime_field_tests_its_modulus_once(monkeypatch):
+    # GF(p) returns the cached field, so a second GF(p) runs no primality test
+    calls = []
+    monkeypatch.setattr(PrimeField, "_cache", {})
+    monkeypatch.setattr(fields, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    assert GF(2**31 - 1) is GF(2**31 - 1)
+    assert calls == [2**31 - 1]
 
 
 def test_is_prime_small():

@@ -1,9 +1,12 @@
 import ast
+import json
+import math
 import os
 import random
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -12,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gapcurve import linalg, project
+from gapcurve import binforms, linalg, project
 from gapcurve.binforms import BinaryForm, form_gcd
 from gapcurve.classify import enumerate_types
 from gapcurve.curve import ExpansionCurveModel, Multifiltration, RationalNormalCurve
@@ -43,11 +46,12 @@ from gapcurve.schubert import sample_center, stratum_spec
 from gapcurve.series import SeriesSubspace
 
 from conftest import (
-    collision_forms,
+    exact_secant_candidate,
     pairwise_secant_roots,
     per_cell_flag_dims,
     per_cell_jet_rank,
     proportional,
+    secant_combinations,
 )
 
 F = GF(10007)
@@ -522,18 +526,55 @@ def test_secant_candidate_within_the_pairwise_route(field):
 
 @pytest.mark.parametrize("field", [QQ, F, GF(7)], ids=["QQ", "GF(10007)", "GF(7)"])
 def test_combination_matches_the_sum_of_collision_biforms(field):
-    # M^T (C M), divided once by the diagonal, against sum c_ij h_ij built pair by pair
+    # M^T (C M) on integer rows, divided once by the diagonal, against
+    # L^2 sum c_ij h_ij built pair by pair in field arithmetic; over F_p, L = 1
     rng = random.Random(11)
+    p = field.characteristic
     for d, ell in ((4, 1), (5, 2), (7, 3)):
         rows = [[field(rng.randint(-9, 9)) / field(rng.randint(1, 5)) for _ in range(d + 1)]
                 for _ in range(ell)]
         center = ProjectionCenter.from_rows(field, d, rows)
-        hs = collision_forms(center)
-        draws, replay = random.Random(d), random.Random(d)
-        for _ in range(2):
-            cs = [field(draws.randint(1, project._SECANT_COEFFICIENT)) for _ in hs]
-            want = [linalg.combine(cs, [h.coeffs[i] for h in hs], field, d) for i in range(d)]
-            assert _combination(center, replay).coeffs == want
+        scale = 1 if p else math.lcm(*(c.denominator for row in center.m_basis() for c in row))
+        replay = random.Random(project._SECANT_SEED)
+        for h, _ in zip(secant_combinations(center), range(3)):
+            want = [[c.value if p else c * scale**2 for c in row] for row in h.coeffs]
+            got = _combination(center, replay)
+            assert got == want and all(type(c) is int for row in got for c in row), d
+
+
+def test_certificate_falls_through_to_the_exact_route(monkeypatch):
+    # at q = 37 > deg + 1 = 19 the images of some unit candidates share
+    # spurious factors mod q; the exact resultants of the same pairs decide
+    calls = []
+    exact = project.binforms.resultant_z
+    monkeypatch.setattr(project.binforms, "resultant_z", lambda *h: calls.append(1) or exact(*h))
+    monkeypatch.setattr(project, "_CERTIFICATE_PRIME", 37)
+    rng = random.Random(4)
+    spurious = 0
+    for _ in range(60):
+        center = ProjectionCenter.from_rows(QQ, 4, [[QQ(rng.randint(-9, 9)) for _ in range(5)]])
+        calls.clear()
+        got = _secant_candidate_form(center)
+        spurious += bool(calls) and binforms.form_is_unit(got)
+        assert got == exact_secant_candidate(center)
+    assert spurious >= 2
+
+
+def test_stored_q_candidates_match_the_exact_route(monkeypatch):
+    # the benchmark's 200 stored generic centers over Q at d = 5: a certified
+    # unit is a unit of the exact route, and every other candidate equals it
+    stored = json.loads((Path(__file__).parents[1] / "bench" / "expected.json").read_text())
+    calls = []
+    exact = project.binforms.resultant_z
+    monkeypatch.setattr(project.binforms, "resultant_z", lambda *h: calls.append(1) or exact(*h))
+    certified = 0
+    for entry in stored["q_roundtrip"]["centers"]:
+        center = ProjectionCenter.from_rows(QQ, entry["degree"], entry["rows"])
+        calls.clear()
+        got = _secant_candidate_form(center)
+        certified += not calls
+        assert got == exact_secant_candidate(center)
+    assert certified >= 150
 
 
 def test_generic_centers_at_d9_over_q_are_complete():
@@ -542,8 +583,16 @@ def test_generic_centers_at_d9_over_q_are_complete():
     curve = RationalNormalCurve(QQ, 9)
     for _ in range(4):
         rows = [[QQ(rng.randint(-9, 9)) for _ in range(10)] for _ in range(3)]
-        report = analyze(ProjectionCenter.from_rows(QQ, 9, rows), curve)
+        center = ProjectionCenter.from_rows(QQ, 9, rows)
+        report = analyze(center, curve)
         assert report.completeness["complete"] is True and report.clusters == []
+        # after the first call the candidate is one batch of images mod 2^31 - 1
+        seconds = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            _secant_candidate_form(center)
+            seconds.append(time.perf_counter() - t0)
+        assert min(seconds) < 0.05, seconds
 
 
 def test_sign_centers_at_d8_over_q_analyze():
