@@ -26,7 +26,8 @@ determinant has integer coefficients in the entries, so the integer resultant
 of the residues, reduced mod p, is the one over F_p, for every p.
 
 ``resultant_images`` takes the same resultants mod a prime q in one int64
-kernel, for ``unit_certificate``.  Its bound, which it enforces: q < 2^31, so
+kernel: for ``unit_certificate`` over Q, and over F_p, once p > deg + 1, as
+the resultants themselves.  Its bound, which it enforces: q < 2^31, so
 a product of two residues stays below 2^62 and is reduced before any add; its
 one matrix product splits a factor into 16-bit halves, so each of its
 deg + 1 < 2^16 terms stays below 2^47 and their sum below 2^63.
@@ -412,6 +413,16 @@ def _interpolation(n: int, q: int) -> np.ndarray:
     out = (quot * np.array(weights, dtype=np.int64)[:, None] % q).T.copy()
     out.setflags(write=False)
     return out
+
+
+def resultants(pairs, p: int):
+    """``resultant_z`` of each pair of integer biforms, as low-first int
+    lists.  Over F_p (p > 0) only their residues matter, and past the nodes
+    (p > deg + 1), within the kernel's bound, they are the images mod p of
+    ``resultant_images``."""
+    if p and _resultant_degree(*pairs[0]) + 1 < min(p, 1 << 16):
+        return resultant_images(pairs, p).tolist()
+    return [resultant_z(*pair) for pair in pairs]
 
 
 def unit_certificate(pairs, q: int) -> bool:

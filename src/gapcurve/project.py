@@ -13,17 +13,21 @@ curve model, the pipeline
      intersections of L with the multifiltration - and classifying it,
   4. verifies the genus bound: the total singularity degree is at most ell.
 
-Over a prime field, ramification detection scans every point of the
-projective line (exact int64 arithmetic); points living over extension
-fields are not seen by the scan and can optionally be certified absent.
-Over the rationals, detection is symbolic: Wronskian gcds for tangency, and
-for secants one candidate form, the gcd of res_P'(H_1, H_2) over two pairs of
-random integer combinations H of the collision biforms, whose rational roots
-are extracted.  The combinations are built on integer rows, and the two
-resultants are first taken mod one prime: when those images are coprime the
-candidate is 1 and no exact resultant is computed.  Any locus that cannot be
-resolved to rational points is an explicit error.  The same two forms give
-the residual degrees of ``certify`` over a prime field.
+Ramification detection finds the base-field points of the collapsed fibers
+by one of two routes.  The roots route is symbolic: Wronskian gcds for
+tangency, and for secants one candidate form, the gcd of res_P'(H_1, H_2)
+over two pairs of random integer combinations H of the collision biforms;
+the base-field roots of both forms are extracted, and one partner form per
+unplaced root gives its fiber.  Over the rationals it is the only route, the
+two resultants are first taken mod one prime (when those images are coprime
+the candidate is 1 and no exact resultant is computed), and any locus that
+cannot be resolved to rational points is an explicit error.  Over a prime
+field the images mod p are the resultants once p > deg + 1, and the roots
+route runs above the scan's crossover, p > _ROUTE_CROSSOVER * (deg + 1);
+below it the search scans every point of the projective line (exact int64
+arithmetic).  Both F_p routes return the rational clusters only; points over
+extension fields can optionally be certified absent, from the residual
+degrees of the same two candidate forms.
 """
 
 from __future__ import annotations
@@ -286,7 +290,7 @@ def _ramification_scan_gfp(center: ProjectionCenter, curve):
 
 
 # ---------------------------------------------------------------------------
-# ramification over the rationals: symbolic elimination
+# ramification from candidate roots: both fields
 
 
 # The secant candidate: how many pairs of combinations are drawn before the
@@ -296,6 +300,12 @@ _SECANT_DRAWS = 6
 _SECANT_SEED = 20261020
 _SECANT_COEFFICIENT = 9
 _CERTIFICATE_PRIME = (1 << 31) - 1
+
+# Over F_p the roots route replaces the O(p) scan once p > C (deg + 1), with
+# deg = 2(d - 1)^2 the degree of the secant resultants: their images cost the
+# same for every p > deg + 1, and root finding grows with log p only.  C is
+# the crossover of the two routes' median times, measured at d = 5..8.
+_ROUTE_CROSSOVER = 160
 
 
 def _tangency_form(center: ProjectionCenter):
@@ -359,46 +369,49 @@ def _secant_candidate_form(center: ProjectionCenter):
     spurious factors remain.  A resultant that vanishes identically means a
     common factor of H_1 and H_2 in P'; it is drawn again a few times.
 
-    Both resultants are first taken mod q = 2^31 - 1 (over F_p, where they
-    are the images, mod q = p if p > deg + 1): nonzero images with a constant
-    projective gcd prove the candidate is 1.  Over Q, were the resultants to
-    share a factor of positive degree, its primitive integer multiple g would
-    divide both over Z (Gauss's lemma); g mod q is then a nonzero form of
-    positive degree, and both images vanish at its root over the closure of
-    F_q.  Otherwise the exact resultants decide.
+    Over F_p with p > deg + 1 the int64 kernel's images mod p are the
+    resultants (``binforms.resultants``).  Over Q both resultants are first
+    taken mod q = 2^31 - 1: nonzero images with a constant projective gcd
+    prove the candidate is 1.  Were the resultants to share a factor of
+    positive degree, its primitive integer multiple g would divide both over
+    Z (Gauss's lemma); g mod q is then a nonzero form of positive degree, and
+    both images vanish at its root over the closure of F_q.  Otherwise, and
+    over F_p with p <= deg + 1, the exact resultants of the same pairs decide.
     """
     field = center.field
+    p = field.characteristic
     rng = random.Random(_SECANT_SEED)
 
     def draw():
         return _combination(center, rng), _combination(center, rng)
 
     pairs = [draw(), draw()]
-    if binforms.unit_certificate(pairs, field.characteristic or _CERTIFICATE_PRIME):
+    if not p and binforms.unit_certificate(pairs, _CERTIFICATE_PRIME):
         return binforms.BinaryForm(field, [field.one])
     found = []
-    for pair in chain(pairs, (draw() for _ in range(_SECANT_DRAWS - 2))):
-        res = binforms.BinaryForm(field, binforms.resultant_z(*pair))
-        if not res.is_zero():
-            found.append(res)
-            if len(found) == 2:
-                return binforms.form_gcd(*found)
+    for batch in chain([pairs], ([draw()] for _ in range(_SECANT_DRAWS - 2))):
+        forms = (binforms.BinaryForm(field, c) for c in binforms.resultants(batch, p))
+        found += [res for res in forms if not res.is_zero()]
+        if len(found) >= 2:
+            return binforms.form_gcd(*found[:2])
     raise HypothesisViolationError(
         "all collision resultants vanish identically: infinitely many secants "
         "meet the center (hypotheses violated?)"
     )
 
 
-def _candidate_roots(center: ProjectionCenter):
+def _candidate_roots(center: ProjectionCenter, memo: dict | None):
     """Yield (kind, base-field roots, residual degree) for the tangency form,
     then for the secant candidate form; the roots cover every ramification
-    point defined over the base field."""
-    tform = _tangency_form(center)
-    if binforms.form_has_roots(tform):
-        yield "tangency", *binforms.projective_roots(tform)
-    sform = _secant_candidate_form(center)
-    if binforms.form_has_roots(sform):
-        yield "secant", *binforms.projective_roots(sform)
+    point defined over the base field.  Each form is computed on first use
+    and kept in ``memo`` when one is given, so one analysis builds it once."""
+    memo = {} if memo is None else memo
+    for kind, make in (("tangency", _tangency_form), ("secant", _secant_candidate_form)):
+        if kind not in memo:
+            form = make(center)
+            memo[kind] = binforms.projective_roots(form) if binforms.form_has_roots(form) else None
+        if memo[kind] is not None:
+            yield kind, *memo[kind]
 
 
 def _point_image(center: ProjectionCenter, curve, point):
@@ -430,11 +443,16 @@ _IRRATIONAL_CANDIDATES = {
 }
 
 
-def _ramification_symbolic_q(center: ProjectionCenter, curve):
+def _ramification_from_roots(center: ProjectionCenter, curve, memo=None):
+    """Clusters from the candidates' base-field roots.  Over Q a residual
+    factor raises.  Over F_p points over extensions are ignored, as the scan
+    cannot see them, so the clusters are exactly the scan's whenever finitely
+    many fibers collapse."""
     field = center.field
+    over_q = not field.characteristic
     candidates = []
-    for kind, roots, residual in _candidate_roots(center):
-        if residual:
+    for kind, roots, residual in _candidate_roots(center, memo):
+        if residual and over_q:
             raise IrrationalRamificationError(_IRRATIONAL_CANDIDATES[kind])
         candidates += [CurvePoint(field, a, b) for (a, b), _ in roots]
 
@@ -446,7 +464,7 @@ def _ramification_symbolic_q(center: ProjectionCenter, curve):
             continue
         image = _point_image(center, curve, pt)
         roots, residual = binforms.projective_roots(_partner_form(center, image))
-        if residual:
+        if residual and over_q:
             raise IrrationalRamificationError(
                 f"fiber through {pt} contains points over an extension field"
             )
@@ -459,30 +477,32 @@ def _ramification_symbolic_q(center: ProjectionCenter, curve):
     return clusters
 
 
-def find_ramification(center: ProjectionCenter, curve):
+def find_ramification(center: ProjectionCenter, curve, _memo=None):
     """All clusters of points collapsed by the projection.
 
     Requires a basepoint-free center; completeness guarantees differ by
-    field (see the module docstring).
+    field (see the module docstring).  ``_memo`` is internal: a dict in which
+    ``analyze`` keeps the candidate forms for its degree check.
     """
     if not isinstance(curve, RationalNormalCurve):
         raise ValidationError(
             "automatic ramification search is only available for the built-in "
             "rational normal model; supply clusters manually"
         )
-    if isinstance(center.field, PrimeField):
+    p = center.field.characteristic
+    if p and p <= _ROUTE_CROSSOVER * (2 * (center.degree - 1) ** 2 + 1):
         return _ramification_scan_gfp(center, curve)
-    return _ramification_symbolic_q(center, curve)
+    return _ramification_from_roots(center, curve, _memo)
 
 
-def certify_no_extension_ramification(center: ProjectionCenter, curve) -> dict:
+def certify_no_extension_ramification(center: ProjectionCenter, curve, _memo=None) -> dict:
     """Degree check over a prime field: do ramification points exist over
-    extensions?  Returns residual degrees; zero residuals mean the scan was
-    complete."""
+    extensions?  Returns residual degrees; zero residuals mean the search of
+    rational points was complete.  ``_memo`` is as for find_ramification."""
     if not isinstance(center.field, PrimeField):
         raise ValidationError("certification is a prime-field operation")
     residual = {"tangency": 0, "secant": 0}
-    for kind, _, extra in _candidate_roots(center):
+    for kind, _, extra in _candidate_roots(center, _memo):
         residual[kind] += extra
     return {
         "tangency_residual_degree": residual["tangency"],
@@ -748,8 +768,9 @@ def analyze(
             "pass enforce_hypotheses=False to measure anyway"
         )
 
+    memo = {}  # the candidate forms, shared by the search and the degree check
     if searched:
-        clusters = [c.points for c in find_ramification(center, curve)]
+        clusters = [c.points for c in find_ramification(center, curve, memo)]
     reports = analyze_at_points(
         center,
         curve,
@@ -766,7 +787,7 @@ def analyze(
         # rational points only; not certified unless asked
         completeness = {"method": "exhaustive scan of rational points", "complete": None}
         if certify:
-            completeness.update(certify_no_extension_ramification(center, curve))
+            completeness.update(certify_no_extension_ramification(center, curve, memo))
     else:
         completeness = {
             "method": "symbolic elimination with rational root extraction",

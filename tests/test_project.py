@@ -9,7 +9,7 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from gapcurve.errors import (
     IndeterminateOverFieldError,
     ValidationError,
 )
-from gapcurve.fields import GF, QQ
+from gapcurve.fields import GF, QQ, is_prime
 from gapcurve.gaps import VECTOR_SPACE, GapFunction, simplex
 from gapcurve.project import (
     ProjectionCenter,
@@ -344,6 +344,84 @@ def test_fingerprint_collisions_never_merge_images(monkeypatch):
     assert [_scan_lists(find_ramification(c, curve)) for c, curve, _ in samples] == before
 
 
+# ---------------------------------------------------------------------------
+# the roots route over F_p, against the scan as its oracle
+
+
+def _both_routes(center, curve):
+    """(scan, roots route) clusters as (points, tangent flags) lists."""
+    return (
+        _scan_lists(project._ramification_scan_gfp(center, curve)),
+        _scan_lists(project._ramification_from_roots(center, curve)),
+    )
+
+
+@pytest.mark.parametrize("p", [10007, 100003])
+def test_roots_route_matches_the_scan(p):
+    """Points, order and tangent flags agree exactly on stratum samples, whose
+    planted points include (1 : 0), (0 : 1) and a fiber holding both, and on
+    generic centers."""
+    field = GF(p)
+    rng = random.Random(25)
+    tried = generic = 0
+    for d, ell in [(8, 3), (5, 2)]:
+        for center, curve, points in _stratum_samples(field, d, ell, rng):
+            scan, roots = _both_routes(center, curve)
+            assert roots == scan, (d, points)
+            assert {q for pts, _ in roots for q in pts} >= set(points)
+            tried += 1
+        for _ in range(4):
+            rows = [[rng.randrange(p) for _ in range(d + 1)] for _ in range(ell)]
+            center = ProjectionCenter.from_rows(field, d, rows)
+            if check_center(center, curve).basepoint_free:
+                scan, roots = _both_routes(center, curve)
+                assert roots == scan, rows
+                generic += 1
+    assert tried == 21 + 14 and generic >= 6
+
+
+def test_roots_route_matches_the_scan_on_stored_centers():
+    """The benchmark's 360 stored centers over F_100003, d = 5..8, ell <= 3."""
+    stored = json.loads((Path(__file__).parents[1] / "bench" / "expected.json").read_text())
+    field = GF(100003)
+    assert stored["fp_large_p"]["field"] == field.name
+    curves = {}
+    clustered = 0
+    for entry in stored["fp_large_p"]["centers"]:
+        d = entry["degree"]
+        curve = curves.setdefault(d, RationalNormalCurve(field, d))
+        scan, roots = _both_routes(ProjectionCenter.from_rows(field, d, entry["rows"]), curve)
+        assert roots == scan, entry["rows"]
+        clustered += bool(scan)
+    assert len(stored["fp_large_p"]["centers"]) == 360 and clustered >= 50
+
+
+@pytest.mark.parametrize("d, ell", [(5, 2), (8, 3)])
+def test_route_crossover(monkeypatch, d, ell):
+    """find_ramification scans up to p = C (deg + 1) and takes the roots route
+    past it; at the largest scanned prime and the smallest prime past it the
+    two routes agree."""
+    bound = project._ROUTE_CROSSOVER * (2 * (d - 1) ** 2 + 1)
+    below = next(q for q in range(bound, 0, -1) if is_prime(q))
+    above = next(q for q in count(bound + 1) if is_prime(q))
+    routes = []
+
+    def counted(name):
+        real = getattr(project, name)
+        return lambda *args: routes.append(name) or real(*args)
+
+    for name in ("_ramification_scan_gfp", "_ramification_from_roots"):
+        monkeypatch.setattr(project, name, counted(name))
+    for p, route in [(below, "_ramification_scan_gfp"), (above, "_ramification_from_roots")]:
+        for center, curve, points in _stratum_samples(GF(p), d, ell, random.Random(p)):
+            routes.clear()
+            got = _scan_lists(find_ramification(center, curve))
+            assert routes == [route]
+            scan, roots = _both_routes(center, curve)
+            assert got == scan == roots
+            assert {q for pts, _ in got for q in pts} >= set(points)
+
+
 def test_analyze_quintic_345_cusp():
     for field in (F, QQ):
         c = quintic_345_center(field)
@@ -575,6 +653,57 @@ def test_stored_q_candidates_match_the_exact_route(monkeypatch):
         certified += not calls
         assert got == exact_secant_candidate(center)
     assert certified >= 150
+
+
+def test_secant_candidate_over_fp_is_the_gcd_of_the_images(monkeypatch):
+    # past the nodes (p > deg + 1) the images mod p are the resultants: no
+    # exact resultant is computed, and the candidate is the exact route's
+    calls = []
+    exact = project.binforms.resultant_z
+    monkeypatch.setattr(project.binforms, "resultant_z", lambda *h: calls.append(1) or exact(*h))
+    rng = random.Random(25)
+    types = [t for t in enumerate_types() if t.branches >= 2 and t.delta <= 2]
+    for d in range(5, 9):
+        curve = RationalNormalCurve(F, d)
+        for stype in rng.sample(types, 2):
+            points = [curve.point(a, 1) for a in rng.sample(range(F.p), stype.branches)]
+            spec = stratum_spec(stype, points, curve, 2)
+            center = sample_center(spec, rng.randrange(10**6), curve)
+            calls.clear()
+            got = _secant_candidate_form(center)
+            assert not calls and not binforms.form_is_unit(got), (d, stype.label)
+            assert got == exact_secant_candidate(center), (d, stype.label)
+            assert len(calls) >= 2  # the oracle's exact resultants are counted
+            roots = {q for q, _ in binforms.projective_roots(got)[0]}
+            assert {q.coords() for q in points} <= roots
+    # both resultants vanish identically, through every redraw
+    center = ProjectionCenter.from_linear_system(F, 3, monomial_rows(3, [0, 3]))
+    calls.clear()
+    with pytest.raises(HypothesisViolationError, match="vanish identically"):
+        _secant_candidate_form(center)
+    assert not calls
+
+
+@pytest.mark.parametrize("p", [10007, 100003])
+def test_certified_analysis_builds_each_candidate_form_once(monkeypatch, p):
+    # the search's roots route and the degree check share the candidate forms
+    calls = []
+    make = project._secant_candidate_form
+    monkeypatch.setattr(project, "_secant_candidate_form", lambda c: calls.append(1) or make(c))
+    field = GF(p)
+    rng = random.Random(3)
+    for d, ell, label in [(5, 2, "2.2.a"), (6, 2, "1.2"), (8, 3, "3.3.a")]:
+        curve = RationalNormalCurve(field, d)
+        stype = next(t for t in enumerate_types() if t.label == label)
+        points = [curve.point(a, 1) for a in rng.sample(range(p), stype.branches)]
+        center = sample_center(stratum_spec(stype, points, curve, ell), 7, curve)
+        routed = p > project._ROUTE_CROSSOVER * (2 * (d - 1) ** 2 + 1)
+        calls.clear()
+        report = analyze(center, curve, certify=True)
+        assert len(calls) == 1, (p, d)
+        assert report.completeness["method"] == "exhaustive scan of rational points"
+        assert [cl.type_label for cl in report.clusters] == [label]
+        assert routed == (d < 8 or p > 10**5)  # both routes are covered
 
 
 def test_generic_centers_at_d9_over_q_are_complete():
@@ -1061,22 +1190,25 @@ def test_dual_path_mismatch_raises(monkeypatch):
         analyze(quintic_345_center(F), RationalNormalCurve(F, 5))
 
 
-def test_analyze_clusters_at_largest_prime():
-    """Over F_(2^31 - 1) the scan refuses to run, as (d + 1)(p - 1)^2 >= 2^63
-    breaks its int64 bound, so the clusters are named.
+# planted clusters over F_(2^31 - 1) at d = 8, ell = 3
+_LARGEST_PRIME_CASES = [
+    ("2.2.a", [(2**30 + 12345, 1), (1, 0)]),
+    ("3.3.a", [(2**31 - 1000, 1), (987654321, 1), (1, 0)]),
+]
 
-    The whole cluster pipeline, dual-path check included, runs at the largest
-    allowed prime.  A row-reduced M has at most ell + 1 nonzero entries per
-    row, so its products rarely reach 2^63; the overflow bound of
-    ``linalg.image_block`` itself is pinned with dense M in test_linalg.
+
+def test_analyze_clusters_at_largest_prime():
+    """Named clusters over F_(2^31 - 1): the whole cluster pipeline, dual-path
+    check included, runs at the largest allowed prime.  (The search finds the
+    same clusters, see test_search_at_the_largest_prime.)
+
+    A row-reduced M has at most ell + 1 nonzero entries per row, so its
+    products rarely reach 2^63; the overflow bound of ``linalg.image_block``
+    itself is pinned with dense M in test_linalg.
     """
     field = GF(2**31 - 1)
     curve = RationalNormalCurve(field, 8)
-    cases = [
-        ("2.2.a", [(2**30 + 12345, 1), (1, 0)]),
-        ("3.3.a", [(2**31 - 1000, 1), (987654321, 1), (1, 0)]),
-    ]
-    for label, coords in cases:
+    for label, coords in _LARGEST_PRIME_CASES:
         points = [curve.point(*c) for c in coords]
         center = sample_center(stratum_spec(label, points, curve, 3), 7, curve)
         report = analyze(center, curve, clusters=[points])
@@ -1084,14 +1216,29 @@ def test_analyze_clusters_at_largest_prime():
         assert report.completeness["complete"] is None
 
 
+def _probe(source, *args):
+    """Run a probe script in a fresh interpreter under a 2 GB address-space
+    limit, so that an array of order p at p = 2^31 - 1 fails fast."""
+    src = Path(project.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    header = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+    out = subprocess.run(
+        [sys.executable, "-c", header + source, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 _SCAN_BOUND_PROBE = """
-import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-from gapcurve import GF, ProjectionCenter, RationalNormalCurve, ValidationError, analyze
+import sys
+from gapcurve import GF, ProjectionCenter, RationalNormalCurve, ValidationError
+from gapcurve.project import _ramification_scan_gfp
 d, n, field = int(sys.argv[1]), int(sys.argv[2]), GF(2**31 - 1)
 system = [[int(j == k) for j in range(d + 1)] for k in [0] + list(range(d - n + 1, d + 1))]
+center = ProjectionCenter.from_linear_system(field, d, system)
 try:
-    analyze(ProjectionCenter.from_linear_system(field, d, system), RationalNormalCurve(field, d))
+    _ramification_scan_gfp(center, RationalNormalCurve(field, d))
 except ValidationError as exc:
     print(exc)
 """
@@ -1101,17 +1248,43 @@ except ValidationError as exc:
 def test_scan_refuses_fields_past_its_int64_bound(d, n):
     """At p = 2^31 - 1, (d + 1)(p - 1)^2 >= 2^63, so the scan of a
     sharp-family center raises a ValidationError before it allocates an
-    array.  The probe runs under a 2 GB address-space limit, so a check
-    placed too late fails fast."""
-    src = Path(project.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
-    out = subprocess.run(
-        [sys.executable, "-c", _SCAN_BOUND_PROBE, str(d), str(n)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert out.returncode == 0, out.stderr
-    assert "(d + 1)(p - 1)^2 < 2^63" in out.stdout
-    assert "clusters" in out.stdout
+    array.  find_ramification takes the roots route there; the scan's guard
+    is probed directly."""
+    out = _probe(_SCAN_BOUND_PROBE, d, n)
+    assert "(d + 1)(p - 1)^2 < 2^63" in out
+    assert "clusters" in out
+
+
+_SEARCH_PROBE = """
+import json, sys
+from gapcurve import GF, ProjectionCenter, RationalNormalCurve, analyze, sample_center, stratum_spec
+field = GF(2**31 - 1)
+curve = RationalNormalCurve(field, 8)
+out = []
+for label, coords in json.loads(sys.argv[1]):
+    points = [curve.point(*c) for c in coords]
+    center = sample_center(stratum_spec(label, points, curve, 3), 7, curve)
+    out.append(analyze(center, curve))
+for d, n in [(5, 3), (8, 5)]:
+    system = [[int(j == k) for j in range(d + 1)] for k in [0] + list(range(d - n + 1, d + 1))]
+    center = ProjectionCenter.from_linear_system(field, d, system)
+    out.append(analyze(center, RationalNormalCurve(field, d)))
+print(json.dumps([
+    [[cl.type_label, [[q.a.value, q.b.value] for q in cl.points]] for cl in report.clusters]
+    for report in out
+]))
+"""
+
+
+def test_search_at_the_largest_prime():
+    """The search over F_(2^31 - 1) takes the roots route: it finds the planted
+    clusters of test_analyze_clusters_at_largest_prime, and the cusps of the
+    sharp family at (1 : 0), with no array of order p."""
+    got = json.loads(_probe(_SEARCH_PROBE, json.dumps(_LARGEST_PRIME_CASES)))
+    # sort_key order: finite points by value, then (1 : 0)
+    want = [[[label, sorted(map(list, coords), key=lambda c: (c[1] == 0, c[0]))]]
+            for label, coords in _LARGEST_PRIME_CASES]
+    assert got == want + [[["2.1.a", [[1, 0]]]], [["3.1.a", [[1, 0]]]]]
 
 
 def test_int64_cluster_builder_matches_boxed_series():
