@@ -26,11 +26,11 @@ determinant has integer coefficients in the entries, so the integer resultant
 of the residues, reduced mod p, is the one over F_p, for every p.
 
 ``resultant_images`` takes the same resultants mod a prime q in one int64
-kernel: for ``unit_certificate`` over Q, and over F_p, once p > deg + 1, as
-the resultants themselves.  Its bound, which it enforces: q < 2^31, so
-a product of two residues stays below 2^62 and is reduced before any add; its
-one matrix product splits a factor into 16-bit halves, so each of its
-deg + 1 < 2^16 terms stays below 2^47 and their sum below 2^63.
+kernel; over F_p, once p > deg + 1, they are the resultants themselves.  Its
+bound, which it enforces: q < 2^31, so a product of two residues stays below
+2^62 and is reduced before any add; its one matrix product splits a factor
+into 16-bit halves, so each of its deg + 1 < 2^16 terms stays below 2^47 and
+their sum below 2^63.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 from .errors import GapcurveError, ValidationError
 from .fields import PrimeField, is_prime
 
-_LIFT_PRIME = 101  # the first prime tried; a small one keeps the F_p scan cheap
+_LIFT_PRIME = 101  # the first prime tried; a small one keeps the root finding mod p cheap
 
 
 class BinaryForm:
@@ -253,25 +253,6 @@ def gcd_many(forms) -> BinaryForm:
     return acc
 
 
-def derivative_a(f: BinaryForm) -> BinaryForm:
-    """Partial derivative with respect to a."""
-    field = f.field
-    if f.formal_degree == 0:
-        return BinaryForm(field, [field.zero])
-    out = [field(i + 1) * c for i, c in enumerate(f.coeffs[1:])]
-    return BinaryForm(field, out)
-
-
-def derivative_b(f: BinaryForm) -> BinaryForm:
-    """Partial derivative with respect to b."""
-    field = f.field
-    d = f.formal_degree
-    if d == 0:
-        return BinaryForm(field, [field.zero])
-    out = [field(d - i) * c for i, c in enumerate(f.coeffs[:-1])]
-    return BinaryForm(field, out)
-
-
 def _split_parts(form: BinaryForm):
     cs = list(form.coeffs)
     if form.is_zero():
@@ -423,17 +404,6 @@ def resultants(pairs, p: int):
     if p and _resultant_degree(*pairs[0]) + 1 < min(p, 1 << 16):
         return resultant_images(pairs, p).tolist()
     return [resultant_z(*pair) for pair in pairs]
-
-
-def unit_certificate(pairs, q: int) -> bool:
-    """Are the images mod q of the resultants of two pairs of integer biforms
-    nonzero with a constant projective gcd?  A common zero at (1:0) is a common
-    drop below the formal degree.  False when the kernel's bound leaves none."""
-    deg = _resultant_degree(*pairs[0])
-    if deg + 1 >= min(q, 1 << 16):
-        return False
-    f, g = (_trim(r.tolist()) for r in resultant_images(pairs, q))
-    return bool(f and g) and deg + 1 in (len(f), len(g)) and len(_gcd_mod(f, g, q)) == 1
 
 
 def _at(rows, x: int):

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError
 from .fields import GFElement
 
 
@@ -152,25 +151,6 @@ def dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     stays below n·p and is exact.  p = 0: Python ints."""
     prod = a[:, None, :] * b[None, :, :]
     return (prod % p).sum(axis=2) % p if p else prod.sum(axis=2)
-
-
-def batch_inverse(vals: np.ndarray, p: int) -> np.ndarray:
-    """Modular inverses of a vector of nonzero residues: vals^(p-2) mod p.
-
-    Vectorised square-and-multiply.  Requires p < 2^31, so that every product
-    of two residues stays below 2^62 and int64 arithmetic is exact.
-    """
-    if p >= 1 << 31:
-        raise ValidationError(f"batch_inverse needs p < 2^31, got {p}")
-    base = np.asarray(vals, dtype=np.int64) % p
-    out = np.ones_like(base)
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
 
 
 def rref(rows, field):

@@ -14,24 +14,25 @@ curve model, the pipeline
   4. verifies the genus bound: the total singularity degree is at most ell.
 
 Ramification detection finds the base-field points of the collapsed fibers
-by one of two routes.  The roots route is symbolic: Wronskian gcds for
-tangency, and for secants one candidate form, the gcd of res_P'(H_1, H_2)
-over two pairs of random integer combinations H of the collision biforms;
-the base-field roots of both forms are extracted, and one partner form per
-unplaced root gives its fiber.  Over the rationals it is the only route, the
-two resultants are first taken mod one prime (when those images are coprime
-the candidate is 1 and no exact resultant is computed), and any locus that
-cannot be resolved to rational points is an explicit error.  Over a prime
-field the images mod p are the resultants once p > deg + 1, and the roots
-route runs above the scan's crossover, p > _ROUTE_CROSSOVER * (deg + 1);
-below it the search scans every point of the projective line (exact int64
-arithmetic).  Both F_p routes return the rational clusters only; points over
-extension fields can optionally be certified absent, from the residual
-degrees of the same two candidate forms.
+on one route for both fields and every p, from the syzygies of phi = (f_0,
+..., f_n), the basis forms of M.  A mu-basis p_1, ..., p_n of them (Cox,
+Sederberg and Chen, CAGD 1998; Song and Goldman, CAGD 2009) cuts out phi(P)
+exactly, so the biforms G_i = p_i(P)·phi(P') / (a b' - a' b), of low degree
+mu_i - 1 in P, vanish together exactly on the secant pairs and, on the
+diagonal, at the points whose tangent line meets the center.  The tangency
+form is gcd_i G_i(P, P); the secant candidate is the gcd of res_P(H_1, H_2)
+over two pairs of random combinations H of the G_i.  Their base-field roots
+are extracted, and one partner form per unplaced root gives its fiber.  Over
+the rationals any locus that cannot be resolved to rational points is an
+explicit error.  Over a prime field the rational clusters are returned, and
+points over extension fields can optionally be certified absent, from the
+residual degrees of the same two candidate forms.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -203,199 +204,137 @@ def _dual_to_form(coeffs, degree, field) -> binforms.BinaryForm:
 
 
 # ---------------------------------------------------------------------------
-# ramification over a prime field: exhaustive scan
-
-# Fibers are found by sorting one fingerprint per image: two Horner hashes
-# mod 2^31 - 1 with fixed bases, packed into one int64.  Every step keeps
-# h * base + x below 2^62 + 2^31, as h, base and the residue x are below 2^31.
-_FINGERPRINT_MOD = (1 << 31) - 1
-_FINGERPRINT_BASES = (1_000_003, 2_147_480_009)
-
-
-def _point_from_index(curve, idx: int) -> CurvePoint:
-    p = curve.field.p
-    if idx == p:
-        return CurvePoint(curve.field, curve.field.one, curve.field.zero)
-    return CurvePoint(curve.field, curve.field(idx), curve.field.one)
-
-
-def _ramification_scan_gfp(center: ProjectionCenter, curve):
-    """Clusters over F_p from the images of all p + 1 points in M* = V/L.
-
-    Column i of phi is (f(P_i))_f over the basis of M = L-perp: the image of
-    nu(P_i) in V/L, nonzero away from basepoints.  P_i = (i : 1) for i < p and
-    P_p = (1 : 0).  phi' is the image of the tangent vector nu' (the
-    a-derivative, or the b-derivative at (1 : 0)).  The tangent line at P meets
-    P(L) exactly when nu'(P) lies in L + <nu(P)>, that is when phi'(P) is
-    parallel to phi(P), which a 2x2 minor against phi's first nonzero entry
-    decides.  A fiber is a set of points whose normalized images agree; equal
-    fingerprints are only candidates, grouped exactly by bytes, so a
-    collision never merges two images.
-
-    Every entry of phi is a sum of d + 1 products of residues, so int64 is
-    exact only while (d + 1)(p - 1)^2 < 2^63.  That is checked before any
-    array is allocated.
-    """
-    p, d = center.field.p, center.degree
-    if (d + 1) * (p - 1) ** 2 >= 1 << 63:
-        raise ValidationError(
-            f"the F_p scan needs (d + 1)(p - 1)^2 < 2^63 for exact int64 images, and "
-            f"d = {d}, p = {p} exceed it; name the clusters with 'clusters' instead"
-        )
-    m = linalg.matrix(center.m_basis(), center.field, d + 1)
-    rev = m[:, ::-1]  # f(a : 1) = sum_e rev[:, e] a^e
-    a = np.arange(p, dtype=np.int64)
-    powers = np.ones((d + 1, p), dtype=np.int64)
-    for e in range(1, d + 1):
-        powers[e] = powers[e - 1] * a % p
-    deriv = rev[:, 1:] * np.arange(1, d + 1) % p  # df/da = sum_e deriv[:, e] a^e
-    phi = np.column_stack((rev @ powers % p, m[:, 0]))
-    dphi = np.column_stack((deriv @ powers[:d] % p, m[:, 1]))
-
-    idx = np.arange(p + 1)
-    col = np.argmax(phi != 0, axis=0)
-    lead = phi[col, idx]
-    if not lead.all():
-        raise ValidationError("basepoint present; run check_center first")
-    tangent = ~np.any((dphi * lead - phi * dphi[col, idx]) % p, axis=0)
-    norm = phi * linalg.batch_inverse(lead, p) % p
-
-    keys = np.zeros((2, p + 1), dtype=np.int64)
-    bases = np.array(_FINGERPRINT_BASES, dtype=np.int64)[:, None]
-    for row in norm:
-        keys = (keys * bases + row) % _FINGERPRINT_MOD
-    key = keys[0] << 31 | keys[1]
-    order = np.argsort(key)
-    sorted_keys = key[order]
-    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-    ends = np.r_[starts[1:], p + 1]
-    runs = ends - starts > 1
-    groups = []
-    for s, e in zip(starts[runs], ends[runs]):
-        members = np.sort(order[s:e])  # ascending index is CurvePoint.sort_key order
-        fibers: dict[bytes, list[int]] = {}
-        for i, image in zip(members.tolist(), norm.T[members]):
-            fibers.setdefault(image.tobytes(), []).append(i)
-        groups += [g for g in fibers.values() if len(g) > 1]
-    in_fiber = np.zeros(p + 1, dtype=bool)
-    for g in groups:
-        in_fiber[g] = True
-    groups += [[i] for i in np.flatnonzero(tangent & ~in_fiber).tolist()]
-    return [
-        RamificationCluster(
-            [_point_from_index(curve, i) for i in g], [bool(tangent[i]) for i in g]
-        )
-        for g in sorted(groups)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# ramification from candidate roots: both fields
+# ramification from the syzygies of phi: both fields, every p
 
 
 # The secant candidate: how many pairs of combinations are drawn before the
-# resultants count as vanishing identically, the fixed seed, the largest c_ij
-# and the prime of the unit certificate over Q, the largest below 2^31.
+# resultants count as vanishing identically, the fixed seed and the largest
+# coefficient of a draw.
 _SECANT_DRAWS = 6
 _SECANT_SEED = 20261020
 _SECANT_COEFFICIENT = 9
-_CERTIFICATE_PRIME = (1 << 31) - 1
-
-# Over F_p the roots route replaces the O(p) scan once p > C (deg + 1), with
-# deg = 2(d - 1)^2 the degree of the secant resultants: their images cost the
-# same for every p > deg + 1, and root finding grows with log p only.  C is
-# the crossover of the two routes' median times, measured at d = 5..8.
-_ROUTE_CROSSOVER = 160
 
 
-def _tangency_form(center: ProjectionCenter):
-    """gcd of the pairwise Wronskians of the forms of M."""
-    field = center.field
-    d = center.degree
-    forms = [_dual_to_form(row, d, field) for row in center.m_basis()]
-    acc = None
-    for i in range(len(forms)):
-        fi_a, fi_b = binforms.derivative_a(forms[i]), binforms.derivative_b(forms[i])
-        for j in range(i + 1, len(forms)):
-            gj_a, gj_b = binforms.derivative_a(forms[j]), binforms.derivative_b(forms[j])
-            w = fi_a.mul(gj_b)
-            w2 = fi_b.mul(gj_a)
-            wr = binforms.BinaryForm(field, [x - y for x, y in zip(w.coeffs, w2.coeffs)])
-            if wr.is_zero():
-                continue
-            acc = wr if acc is None else binforms.form_gcd(acc, wr)
-            if acc is not None and binforms.form_is_unit(acc):
-                return acc
-    if acc is None:
-        raise HypothesisViolationError("every Wronskian vanishes: the map is degenerate")
-    return acc
+def _mu_basis(center: ProjectionCenter):
+    """(phi, [p_1, ..., p_n]): a mu-basis of the syzygies of phi = (f_0, ..., f_n).
 
+    phi holds the basis forms of M as the rows of an array from
+    ``linalg.matrix`` (over Q each scaled into Z), column e the coefficient of
+    a^e b^(d - e).  p_i is a (mu_i + 1) x (n + 1) array of the same kind, row
+    s the coefficient of a^s b^(mu_i - s), with sum_j p_ij f_j = 0; mu_1 <= ...
+    <= mu_n, and every syzygy is a combination of the p_i with form
+    coefficients.  Without basepoints sum mu_i = d, so mu_n <= ell + 1.
 
-def _combination(center: ProjectionCenter, rng):
-    """H = sum_{i<j} c_ij h_ij for random integers c_ij in 1..9, as integer rows.
-
-    h_ij is the collision biform f_i(P) f_j(P') - f_j(P) f_i(P') of the basis
-    forms of M, divided by the diagonal form (a b' - a' b), of bidegree
-    (d - 1, d - 1).  Before the division the sum is sum_{i,j} C_ij f_i(P)
-    f_j(P') for the antisymmetric C with C_ij = c_ij above the diagonal: M^T
-    (C M), with one exact division.  Over Q, M is scaled into Z by one factor
-    L common to all its forms, so the rows are L^2 H; over F_p, the residues.
+    One echelon (Hong, Hough and Kogan, JSC 2017) of the multiplication matrix
+    of degree T = ell + 1, whose column k(n + 1) + j is a^k b^(T - k) f_j.  A
+    column that depends on the columns before it gives b^(T - k) times a
+    syzygy of degree k, and then so does its next shift; the dependent
+    columns whose previous shift is independent give the basis, mu_i = k.
     """
-    p, d, k = center.field.characteristic, center.degree, center.n + 1
-    # all of M as one row: one common factor over Q, not one per form
-    m = linalg.matrix([sum(center.m_basis(), [])], center.field, k * (d + 1))
-    m = m.reshape(k, d + 1).tolist()
-    c = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            c[i][j] = rng.randint(1, _SECANT_COEFFICIENT)
-            c[j][i] = -c[i][j]
-    cm = [[sum(x * row[t] for x, row in zip(ci, m)) for t in range(d + 1)] for ci in c]
-    # index s of a row carries x^(d-s) y^s, that is a^(d-s) b^s
-    h = [[sum(u[d - s] * v[d - t] for u, v in zip(m, cm)) for t in range(d + 1)]
-         for s in range(d + 1)]
-    # long division by a b' - a' b: each quotient term is a sum along an antidiagonal
-    quot = [[sum(h[i + t][j - t] for t in range(min(d - i, j) + 1)) for j in range(d)]
-            for i in range(1, d + 1)]
-    return [[x % p for x in row] for row in quot] if p else quot
+    field, d, n = center.field, center.degree, center.n
+    p = field.characteristic
+    phi = linalg.matrix(center.m_basis(), field, d + 1)[:, ::-1]
+    width, top = n + 1, center.ell + 1
+    a = np.zeros((d + top + 1, width * (top + 1)), dtype=phi.dtype)
+    for k in range(top + 1):
+        a[k : k + d + 1, k * width : (k + 1) * width] = phi.T
+    red, pivots = linalg.echelon(a, p)
+    pivots = np.array(pivots)
+    lead = red[np.arange(len(pivots)), pivots]
+    taken = set(pivots.tolist())
+    basis = []
+    for c in range(a.shape[1]):
+        if c in taken or (c >= width and c - width not in taken):
+            continue
+        # column c is sum_r red[r, c] / lead[r] times column pivots[r]
+        rows = red[:, c].nonzero()[0]
+        scale = 1 if p else functools.reduce(math.lcm, lead[rows].tolist(), 1)
+        syz = np.zeros((c // width + 1) * width, dtype=a.dtype)
+        syz[c] = scale
+        syz[pivots[rows]] = -red[rows, c] * (scale // lead[rows])
+        syz = syz % p if p else syz // np.gcd.reduce(syz)
+        basis.append(syz.reshape(-1, width))
+        if len(basis) == n:
+            break
+    return phi, basis
 
 
-def _secant_candidate_form(center: ProjectionCenter):
+def _syzygy_biforms(center: ProjectionCenter):
+    """G_i = p_i(P)·phi(P') / (a b' - a' b) for the mu-basis p_i: mu_i x d
+    arrays, entry (s, t) the coefficient of a^s b^(mu_i - 1 - s) a'^t b'^(d - 1 - t).
+
+    p_i(P)·phi(P) = 0, so the diagonal form divides.  At every P, over the
+    closure too, the p_i(P) span the forms vanishing at phi(P); so for
+    P' != P every G_i vanishes exactly when phi(P') = phi(P).  On the diagonal
+    G_i(P, P) = -p_i(P)·phi_a(P) / b = p_i(P)·phi_b(P) / a, which vanishes
+    for every i exactly when the tangent line at P meets the center.
+    """
+    p = center.field.characteristic
+    d = center.degree
+    phi, basis = _mu_basis(center)
+    out = []
+    for syz in basis:
+        mu = len(syz) - 1
+        prod = linalg.dot(syz, phi.T, p)  # p_i(P)·phi(P'), entry (s, t) as above
+        # long division by a b' - a' b: each quotient term is a sum along an antidiagonal
+        quot = np.zeros((mu, d), dtype=prod.dtype)
+        for u in range(1, mu + 1):
+            quot[: mu - u + 1, u - 1 :] += prod[u:, : d - u + 1]
+        out.append(quot % p if p else quot)
+    return out
+
+
+def _tangency_form(center: ProjectionCenter, biforms):
+    """gcd_i G_i(P, P): its roots are the points whose tangent line meets
+    the center."""
+    field = center.field
+    forms = []
+    for g in biforms:
+        diag = np.zeros(sum(g.shape) - 1, dtype=g.dtype)
+        for s, row in enumerate(g):
+            diag[s : s + len(row)] += row
+        forms.append(binforms.BinaryForm(field, diag.tolist()))
+    if all(f.is_zero() for f in forms):
+        raise HypothesisViolationError("every tangent line meets the center: the map is degenerate")
+    return binforms.gcd_many(forms)
+
+
+def _secant_candidate_form(center: ProjectionCenter, biforms):
     """A form whose base-field roots cover every secant-cluster point.
 
-    It is the gcd of res_P'(H_1, H_2) over two pairs of random combinations H
-    of the collision biforms.  A common zero of the biforms is a zero of every
-    H, over the algebraic closure too, so the draws only decide how many
-    spurious factors remain.  A resultant that vanishes identically means a
-    common factor of H_1 and H_2 in P'; it is drawn again a few times.
-
-    Over F_p with p > deg + 1 the int64 kernel's images mod p are the
-    resultants (``binforms.resultants``).  Over Q both resultants are first
-    taken mod q = 2^31 - 1: nonzero images with a constant projective gcd
-    prove the candidate is 1.  Were the resultants to share a factor of
-    positive degree, its primitive integer multiple g would divide both over
-    Z (Gauss's lemma); g mod q is then a nonzero form of positive degree, and
-    both images vanish at its root over the closure of F_q.  Otherwise, and
-    over F_p with p <= deg + 1, the exact resultants of the same pairs decide.
+    It is the gcd of res_P(H_1, H_2) over two pairs of random combinations
+    H = sum r_i(P) G_i, each r_i of degree D - mu_i + 1 with D = mu_n - 1, so
+    H has bidegree (D, d - 1) and each resultant degree 2D(d - 1); ell >= 1
+    gives D >= 1.  A secant pair (P, P') or a tangent point P = P' is a common
+    zero of the G_i, over the closure too, so P' is a root whatever the
+    draws; they only decide how many spurious factors remain.  A resultant
+    that vanishes identically means a common factor of H_1 and H_2 in P; it is
+    drawn again a few times.  The resultants eliminate P, the columns of the
+    transposed rows, exactly (``binforms.resultants``).
     """
     field = center.field
     p = field.characteristic
+    top = max(len(g) for g in biforms)
     rng = random.Random(_SECANT_SEED)
 
-    def draw():
-        return _combination(center, rng), _combination(center, rng)
+    def combination():
+        h = np.zeros((top, center.degree), dtype=biforms[0].dtype)
+        for g in biforms:
+            for u in range(top - len(g) + 1):  # r_i(P) G_i, one coefficient of r_i at a time
+                h[u : u + len(g)] += rng.randint(1, _SECANT_COEFFICIENT) * g
+        return (h.T % p if p else h.T).tolist()
 
-    pairs = [draw(), draw()]
-    if not p and binforms.unit_certificate(pairs, _CERTIFICATE_PRIME):
-        return binforms.BinaryForm(field, [field.one])
+    def draw():
+        return combination(), combination()
+
     found = []
-    for batch in chain([pairs], ([draw()] for _ in range(_SECANT_DRAWS - 2))):
+    for batch in chain([[draw(), draw()]], ([draw()] for _ in range(_SECANT_DRAWS - 2))):
         forms = (binforms.BinaryForm(field, c) for c in binforms.resultants(batch, p))
         found += [res for res in forms if not res.is_zero()]
         if len(found) >= 2:
             return binforms.form_gcd(*found[:2])
     raise HypothesisViolationError(
-        "all collision resultants vanish identically: infinitely many secants "
+        "all secant resultants vanish identically: infinitely many secants "
         "meet the center (hypotheses violated?)"
     )
 
@@ -403,12 +342,15 @@ def _secant_candidate_form(center: ProjectionCenter):
 def _candidate_roots(center: ProjectionCenter, memo: dict | None):
     """Yield (kind, base-field roots, residual degree) for the tangency form,
     then for the secant candidate form; the roots cover every ramification
-    point defined over the base field.  Each form is computed on first use
-    and kept in ``memo`` when one is given, so one analysis builds it once."""
+    point defined over the base field.  The biforms G_i and each form are
+    computed on first use and kept in ``memo`` when one is given, so one
+    analysis builds each once."""
     memo = {} if memo is None else memo
+    if "biforms" not in memo:
+        memo["biforms"] = _syzygy_biforms(center)
     for kind, make in (("tangency", _tangency_form), ("secant", _secant_candidate_form)):
         if kind not in memo:
-            form = make(center)
+            form = make(center, memo["biforms"])
             memo[kind] = binforms.projective_roots(form) if binforms.form_has_roots(form) else None
         if memo[kind] is not None:
             yield kind, *memo[kind]
@@ -443,18 +385,36 @@ _IRRATIONAL_CANDIDATES = {
 }
 
 
-def _ramification_from_roots(center: ProjectionCenter, curve, memo=None):
-    """Clusters from the candidates' base-field roots.  Over Q a residual
-    factor raises.  Over F_p points over extensions are ignored, as the scan
-    cannot see them, so the clusters are exactly the scan's whenever finitely
-    many fibers collapse."""
+def find_ramification(center: ProjectionCenter, curve, _memo=None):
+    """All clusters of points collapsed by the projection, from the candidate
+    forms' base-field roots, one partner form per unplaced root.
+
+    Requires a basepoint-free center.  Over Q a residual factor raises; over
+    F_p points over extensions are ignored, so the clusters are those of the
+    rational points, and once p + 1 <= 2 ell (d - 1), a bound on the secant
+    candidate's degree, every rational point is a candidate and no
+    combination is drawn.  ``_memo`` is internal: a dict in which ``analyze``
+    keeps the candidate forms for its degree check.
+    """
+    if not isinstance(curve, RationalNormalCurve):
+        raise ValidationError(
+            "automatic ramification search is only available for the built-in "
+            "rational normal model; supply clusters manually"
+        )
     field = center.field
-    over_q = not field.characteristic
-    candidates = []
-    for kind, roots, residual in _candidate_roots(center, memo):
-        if residual and over_q:
-            raise IrrationalRamificationError(_IRRATIONAL_CANDIDATES[kind])
-        candidates += [CurvePoint(field, a, b) for (a, b), _ in roots]
+    p = field.characteristic
+    if center.n == 1:
+        raise HypothesisViolationError(
+            "n = 1: the projection maps the curve onto a line, so every fiber collapses"
+        )
+    if p and p + 1 <= 2 * center.ell * (center.degree - 1):
+        candidates = curve.all_points()
+    else:
+        candidates = []
+        for kind, roots, residual in _candidate_roots(center, _memo):
+            if residual and not p:
+                raise IrrationalRamificationError(_IRRATIONAL_CANDIDATES[kind])
+            candidates += [CurvePoint(field, a, b) for (a, b), _ in roots]
 
     # each unplaced candidate's partner form gives its whole fiber, with tangency
     placed = set()
@@ -464,7 +424,7 @@ def _ramification_from_roots(center: ProjectionCenter, curve, memo=None):
             continue
         image = _point_image(center, curve, pt)
         roots, residual = binforms.projective_roots(_partner_form(center, image))
-        if residual and over_q:
+        if residual and not p:
             raise IrrationalRamificationError(
                 f"fiber through {pt} contains points over an extension field"
             )
@@ -475,24 +435,6 @@ def _ramification_from_roots(center: ProjectionCenter, curve, memo=None):
             clusters.append(RamificationCluster(fiber, [mult[q] >= 2 for q in fiber]))
     clusters.sort(key=lambda c: c.points[0].sort_key())
     return clusters
-
-
-def find_ramification(center: ProjectionCenter, curve, _memo=None):
-    """All clusters of points collapsed by the projection.
-
-    Requires a basepoint-free center; completeness guarantees differ by
-    field (see the module docstring).  ``_memo`` is internal: a dict in which
-    ``analyze`` keeps the candidate forms for its degree check.
-    """
-    if not isinstance(curve, RationalNormalCurve):
-        raise ValidationError(
-            "automatic ramification search is only available for the built-in "
-            "rational normal model; supply clusters manually"
-        )
-    p = center.field.characteristic
-    if p and p <= _ROUTE_CROSSOVER * (2 * (center.degree - 1) ** 2 + 1):
-        return _ramification_scan_gfp(center, curve)
-    return _ramification_from_roots(center, curve, _memo)
 
 
 def certify_no_extension_ramification(center: ProjectionCenter, curve, _memo=None) -> dict:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gapcurve import binforms, linalg, project
+from gapcurve.errors import ValidationError
 from gapcurve.fields import GF, QQ
 
 
@@ -228,8 +229,8 @@ def scan_roots_gfp(poly, field):
 
 class BiForm:
     """Bihomogeneous form in (a, b) x (a', b') over a field, the oracle for the
-    integer rows of ``project._combination``: coeffs[i][j] multiplies
-    a^i b^(deg_p-i) a'^j b'^(deg_q-j)."""
+    biforms of ``project._syzygy_biforms`` and their combinations: coeffs[i][j]
+    multiplies a^i b^(deg_p-i) a'^j b'^(deg_q-j)."""
 
     __slots__ = ("field", "coeffs", "deg_p", "deg_q")
 
@@ -366,16 +367,40 @@ def pairwise_secant_roots(center) -> set:
     return {pt for form in forms for pt, _ in binforms.projective_roots(form)[0]}
 
 
-def secant_combinations(center):
-    """sum c_ij h_ij over the collision biforms in field arithmetic, one after
-    another, with the draws of ``project._secant_candidate_form``."""
+def syzygy_biforms(center):
+    """G_i = p_i(P)·phi(P') / (a b' - a' b) for the mu-basis of
+    ``project._mu_basis``, built in field arithmetic: the product term by term,
+    then the division by the diagonal of ``BiForm``."""
     field, d = center.field, center.degree
-    hs = collision_forms(center)
+    phi, basis = project._mu_basis(center)
+    out = []
+    for syz in basis:
+        prod = [
+            [sum((field(int(x)) * field(int(row[t])) for x, row in zip(s_row, phi)), field.zero)
+             for t in range(d + 1)]
+            for s_row in syz
+        ]
+        out.append(BiForm(field, prod, len(syz) - 1, d).divide_diagonal())
+    return out
+
+
+def secant_combinations(center):
+    """H = sum r_i(P) G_i over ``syzygy_biforms`` in field arithmetic, one
+    after another, with the draws of ``project._secant_candidate_form``; each
+    is returned transposed, the second point P' first, so that the resultant
+    eliminates P."""
+    field, d = center.field, center.degree
+    gs = syzygy_biforms(center)
+    top = max(g.deg_p for g in gs) + 1
     rng = random.Random(project._SECANT_SEED)
     while True:
-        cs = [field(rng.randint(1, project._SECANT_COEFFICIENT)) for _ in hs]
-        rows = [linalg.combine(cs, [h.coeffs[i] for h in hs], field, d) for i in range(d)]
-        yield BiForm(field, rows, d - 1, d - 1)
+        h = [[field.zero] * d for _ in range(top)]
+        for g in gs:
+            for u in range(top - g.deg_p):
+                r = field(rng.randint(1, project._SECANT_COEFFICIENT))
+                for s, row in enumerate(g.coeffs):
+                    h[u + s] = [x + r * y for x, y in zip(h[u + s], row)]
+        yield BiForm(field, [list(col) for col in zip(*h)], d - 1, top - 1)
 
 
 def exact_secant_candidate(center):
@@ -390,3 +415,115 @@ def exact_secant_candidate(center):
             if len(found) == 2:
                 return binforms.form_gcd(*found)
     return None
+
+
+def derivative_a(f):
+    """Partial derivative of a binary form with respect to a."""
+    field = f.field
+    if f.formal_degree == 0:
+        return binforms.BinaryForm(field, [field.zero])
+    return binforms.BinaryForm(field, [field(i + 1) * c for i, c in enumerate(f.coeffs[1:])])
+
+
+# ---------------------------------------------------------------------------
+# the F_p scan over every point of the line, the oracle of find_ramification
+
+# Fibers are found by sorting one fingerprint per image: two Horner hashes
+# mod 2^31 - 1 with fixed bases, packed into one int64.  Every step keeps
+# h * base + x below 2^62 + 2^31, as h, base and the residue x are below 2^31.
+_FINGERPRINT_MOD = (1 << 31) - 1
+_FINGERPRINT_BASES = (1_000_003, 2_147_480_009)
+
+
+def batch_inverse(vals: np.ndarray, p: int) -> np.ndarray:
+    """Modular inverses of a vector of nonzero residues: vals^(p-2) mod p.
+
+    Vectorised square-and-multiply.  Requires p < 2^31, so that every product
+    of two residues stays below 2^62 and int64 arithmetic is exact.
+    """
+    if p >= 1 << 31:
+        raise ValidationError(f"batch_inverse needs p < 2^31, got {p}")
+    base = np.asarray(vals, dtype=np.int64) % p
+    out = np.ones_like(base)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def _point_from_index(curve, idx: int):
+    field = curve.field
+    return curve.point(field.one, field.zero) if idx == field.p else curve.point(field(idx), field.one)
+
+
+def ramification_scan(center, curve):
+    """Clusters over F_p from the images of all p + 1 points in M* = V/L.
+
+    Column i of phi is (f(P_i))_f over the basis of M = L-perp: the image of
+    nu(P_i) in V/L, nonzero away from basepoints.  P_i = (i : 1) for i < p and
+    P_p = (1 : 0).  phi' is the image of the tangent vector nu' (the
+    a-derivative, or the b-derivative at (1 : 0)).  The tangent line at P meets
+    P(L) exactly when nu'(P) lies in L + <nu(P)>, that is when phi'(P) is
+    parallel to phi(P), which a 2x2 minor against phi's first nonzero entry
+    decides.  A fiber is a set of points whose normalized images agree; equal
+    fingerprints are only candidates, grouped exactly by bytes, so a
+    collision never merges two images.
+
+    Every entry of phi is a sum of d + 1 products of residues, so int64 is
+    exact only while (d + 1)(p - 1)^2 < 2^63.  That is checked before any
+    array is allocated.
+    """
+    p, d = center.field.p, center.degree
+    if (d + 1) * (p - 1) ** 2 >= 1 << 63:
+        raise ValidationError(
+            f"the F_p scan needs (d + 1)(p - 1)^2 < 2^63 for exact int64 images, and "
+            f"d = {d}, p = {p} exceed it; name the clusters with 'clusters' instead"
+        )
+    m = linalg.matrix(center.m_basis(), center.field, d + 1)
+    rev = m[:, ::-1]  # f(a : 1) = sum_e rev[:, e] a^e
+    a = np.arange(p, dtype=np.int64)
+    powers = np.ones((d + 1, p), dtype=np.int64)
+    for e in range(1, d + 1):
+        powers[e] = powers[e - 1] * a % p
+    deriv = rev[:, 1:] * np.arange(1, d + 1) % p  # df/da = sum_e deriv[:, e] a^e
+    phi = np.column_stack((rev @ powers % p, m[:, 0]))
+    dphi = np.column_stack((deriv @ powers[:d] % p, m[:, 1]))
+
+    idx = np.arange(p + 1)
+    col = np.argmax(phi != 0, axis=0)
+    lead = phi[col, idx]
+    if not lead.all():
+        raise ValidationError("basepoint present; run check_center first")
+    tangent = ~np.any((dphi * lead - phi * dphi[col, idx]) % p, axis=0)
+    norm = phi * batch_inverse(lead, p) % p
+
+    keys = np.zeros((2, p + 1), dtype=np.int64)
+    bases = np.array(_FINGERPRINT_BASES, dtype=np.int64)[:, None]
+    for row in norm:
+        keys = (keys * bases + row) % _FINGERPRINT_MOD
+    key = keys[0] << 31 | keys[1]
+    order = np.argsort(key)
+    sorted_keys = key[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    ends = np.r_[starts[1:], p + 1]
+    runs = ends - starts > 1
+    groups = []
+    for s, e in zip(starts[runs], ends[runs]):
+        members = np.sort(order[s:e])  # ascending index is CurvePoint.sort_key order
+        fibers: dict[bytes, list[int]] = {}
+        for i, image in zip(members.tolist(), norm.T[members]):
+            fibers.setdefault(image.tobytes(), []).append(i)
+        groups += [g for g in fibers.values() if len(g) > 1]
+    in_fiber = np.zeros(p + 1, dtype=bool)
+    for g in groups:
+        in_fiber[g] = True
+    groups += [[i] for i in np.flatnonzero(tangent & ~in_fiber).tolist()]
+    return [
+        project.RamificationCluster(
+            [_point_from_index(curve, i) for i in g], [bool(tangent[i]) for i in g]
+        )
+        for g in sorted(groups)
+    ]

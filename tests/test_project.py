@@ -1,6 +1,6 @@
 import ast
+import functools
 import json
-import math
 import os
 import random
 import re
@@ -32,9 +32,11 @@ from gapcurve.project import (
     _choose_section,
     _cluster_series_builder,
     _flag_dims,
-    _combination,
+    _mu_basis,
     _point_image,
     _secant_candidate_form,
+    _syzygy_biforms,
+    _tangency_form,
     analyze,
     analyze_at_points,
     certify_no_extension_ramification,
@@ -45,13 +47,17 @@ from gapcurve.project import (
 from gapcurve.schubert import sample_center, stratum_spec
 from gapcurve.series import SeriesSubspace
 
+import conftest
 from conftest import (
+    batch_inverse,
     exact_secant_candidate,
+    independent_rank,
     pairwise_secant_roots,
     per_cell_flag_dims,
     per_cell_jet_rank,
     proportional,
-    secant_combinations,
+    ramification_scan,
+    syzygy_biforms,
 )
 
 F = GF(10007)
@@ -276,7 +282,7 @@ def _vandermonde_scan(center, curve):
     idx = np.arange(p + 1)
     lead = phi[idx, np.argmax(phi != 0, axis=1)]
     assert lead.all()
-    norm = phi * linalg.batch_inverse(lead, p)[:, None] % p
+    norm = phi * batch_inverse(lead, p)[:, None] % p
     fibers = {}
     for i in range(p + 1):
         fibers.setdefault(norm[i].tobytes(), []).append(i)
@@ -319,9 +325,9 @@ def _stratum_samples(field, d, ell, rng):
 
 @pytest.mark.parametrize("field", [GF(101), F], ids=["GF(101)", "GF(10007)"])
 def test_scan_matches_vandermonde_oracle(field):
-    """The image-space scan returns the old scan's clusters exactly: points,
-    order and tangent flags, on stratum samples (random centers almost never
-    have clusters)."""
+    """The search returns the clusters of the scan in the coordinates of V
+    exactly: points, order and tangent flags, on stratum samples (random
+    centers almost never have clusters)."""
     rng = random.Random(18)
     tried = 0
     for d, ell in [(8, 3), (5, 2)]:
@@ -334,25 +340,27 @@ def test_scan_matches_vandermonde_oracle(field):
 
 
 def test_fingerprint_collisions_never_merge_images(monkeypatch):
-    """With the fingerprint modulus 1 every image collides, and the exact
-    grouping inside the one run still returns the same clusters."""
+    """With the fingerprint modulus 1 every image collides in the scan oracle,
+    and the exact grouping inside the one run still returns the same
+    clusters, which are the search's."""
     field = GF(1009)
     samples = list(_stratum_samples(field, 8, 3, random.Random(7)))
-    before = [_scan_lists(find_ramification(c, curve)) for c, curve, _ in samples]
+    before = [_scan_lists(ramification_scan(c, curve)) for c, curve, _ in samples]
     assert all(before) and len(before) == 21
-    monkeypatch.setattr(project, "_FINGERPRINT_MOD", 1)
+    monkeypatch.setattr(conftest, "_FINGERPRINT_MOD", 1)
+    assert [_scan_lists(ramification_scan(c, curve)) for c, curve, _ in samples] == before
     assert [_scan_lists(find_ramification(c, curve)) for c, curve, _ in samples] == before
 
 
 # ---------------------------------------------------------------------------
-# the roots route over F_p, against the scan as its oracle
+# the search over F_p, against the scan as its oracle
 
 
 def _both_routes(center, curve):
-    """(scan, roots route) clusters as (points, tangent flags) lists."""
+    """(scan oracle, search) clusters as (points, tangent flags) lists."""
     return (
-        _scan_lists(project._ramification_scan_gfp(center, curve)),
-        _scan_lists(project._ramification_from_roots(center, curve)),
+        _scan_lists(ramification_scan(center, curve)),
+        _scan_lists(find_ramification(center, curve)),
     )
 
 
@@ -396,30 +404,106 @@ def test_roots_route_matches_the_scan_on_stored_centers():
     assert len(stored["fp_large_p"]["centers"]) == 360 and clustered >= 50
 
 
+# Until the search took the candidate roots at every p, it scanned F_p up to
+# p = C (deg + 1), deg = 2 (d - 1)^2, with this C; the tests probe both sides.
+_OLD_CROSSOVER = 160
+
+
 @pytest.mark.parametrize("d, ell", [(5, 2), (8, 3)])
-def test_route_crossover(monkeypatch, d, ell):
-    """find_ramification scans up to p = C (deg + 1) and takes the roots route
-    past it; at the largest scanned prime and the smallest prime past it the
-    two routes agree."""
-    bound = project._ROUTE_CROSSOVER * (2 * (d - 1) ** 2 + 1)
+def test_route_crossover(d, ell):
+    """One route at every p: on stratum samples on both sides of the old
+    crossover, and on centers with a planted secant and tangent line at the
+    smallest and largest primes with p + 1 <= 2 ell (d - 1), where every
+    rational point is a candidate and the search draws no combination, and at
+    the first prime past that bound, where the candidate forms take over, the
+    search returns the scan oracle's clusters."""
+    bound = _OLD_CROSSOVER * (2 * (d - 1) ** 2 + 1)
     below = next(q for q in range(bound, 0, -1) if is_prime(q))
     above = next(q for q in count(bound + 1) if is_prime(q))
-    routes = []
-
-    def counted(name):
-        real = getattr(project, name)
-        return lambda *args: routes.append(name) or real(*args)
-
-    for name in ("_ramification_scan_gfp", "_ramification_from_roots"):
-        monkeypatch.setattr(project, name, counted(name))
-    for p, route in [(below, "_ramification_scan_gfp"), (above, "_ramification_from_roots")]:
+    for p in (below, above):
         for center, curve, points in _stratum_samples(GF(p), d, ell, random.Random(p)):
-            routes.clear()
-            got = _scan_lists(find_ramification(center, curve))
-            assert routes == [route]
             scan, roots = _both_routes(center, curve)
-            assert got == scan == roots
-            assert {q for pts, _ in got for q in pts} >= set(points)
+            assert roots == scan, (p, points)
+            assert {q for pts, _ in roots for q in pts} >= set(points)
+    small = [q for q in range(d + 1, 2 * ell * (d - 1)) if is_prime(q)]
+    past = next(q for q in count(2 * ell * (d - 1)) if is_prime(q))
+    clustered = 0
+    for p in (small[0], small[-1], past):
+        centers, curve = _planted_centers(GF(p), d, ell, random.Random(p), 8)
+        for center in centers:
+            scan, roots = _both_routes(center, curve)
+            assert roots == scan, (p, center.rows)
+            clustered += bool(scan)
+    assert clustered == 3 * 8
+
+
+# ---------------------------------------------------------------------------
+# one search at every p: the scan oracle, and centers whose fibers all collapse
+
+
+def _planted_centers(field, d, ell, rng, count, planted=True):
+    """Centers that meet the secant line of two random points and, for
+    ell >= 2, the tangent line at a third, the other rows random (all random
+    unless planted); those that miss the curve, with the curve."""
+    curve = RationalNormalCurve(field, d)
+    out = []
+    while len(out) < count:
+        rows = []
+        if planted:
+            p1, p2, p3 = (curve.point(1, 0) if i == field.p else curve.point(i, 1)
+                          for i in rng.sample(range(field.p + 1), 3))
+            c = field(rng.randrange(1, field.p))
+            rows = [[x + c * y for x, y in zip(curve.veronese_row(p1), curve.veronese_row(p2))]]
+            rows += [curve.osc_rows(p3, 2)[1]] * (ell >= 2)
+        rows += [[field.random_element(rng) for _ in range(d + 1)] for _ in range(ell - len(rows))]
+        center = ProjectionCenter.from_rows(field, d, rows)
+        if center.ell == ell and check_center(center, curve).basepoint_free:
+            out.append(center)
+    return out, curve
+
+
+@pytest.mark.parametrize("p", [3, 7, 101, 10007, 100003])
+def test_search_matches_the_scan_at_every_p(p):
+    """At d = 2..9, on centers with a planted secant and tangent line and on
+    random ones, the search returns the scan oracle's clusters; centers with
+    n = 1 raise.  Up to p + 1 = 2 ell (d - 1) every rational point is a
+    candidate."""
+    field = GF(p)
+    rng = random.Random(p)
+    tried = clustered = 0
+    for d in range(2, min(10, p)):
+        for ell in range(1, min(3, d - 1) + 1):
+            planted, curve = _planted_centers(field, d, ell, rng, 2)
+            for center in planted + _planted_centers(field, d, ell, rng, 1, planted=False)[0]:
+                if center.n == 1:
+                    with pytest.raises(HypothesisViolationError, match="every fiber collapses"):
+                        find_ramification(center, curve)
+                    continue
+                scan, roots = _both_routes(center, curve)
+                assert roots == scan, (d, ell, center.rows)
+                tried += 1
+                clustered += bool(scan)
+    assert tried == {3: 0, 7: 27}.get(p, 54) and clustered >= tried // 2
+
+
+@pytest.mark.parametrize("p", [101, 1009])
+def test_every_fiber_collapses_when_n_is_1(p):
+    # the conic through no rational point of L = <(1, 2, 5)> maps onto a line:
+    # every fiber has two points, and the search refuses at every p, as the
+    # analysis does when the hypotheses are not enforced
+    field = GF(p)
+    center = ProjectionCenter.from_rows(field, 2, [[1, 2, 5]])
+    curve = RationalNormalCurve(field, 2)
+    assert check_center(center, curve).basepoint_free
+    with pytest.raises(HypothesisViolationError, match="every fiber collapses"):
+        find_ramification(center, curve)
+    with pytest.raises(HypothesisViolationError, match="every fiber collapses"):
+        analyze(center, curve, enforce_hypotheses=False)
+    # below p + 1 = 2 ell (d - 1) every point would be a candidate: still refused
+    rows = [[int(i == j) for j in range(9)] for i in range(1, 8)]  # M = <x^8, y^8>
+    center = ProjectionCenter.from_rows(GF(11), 8, rows)
+    with pytest.raises(HypothesisViolationError, match="every fiber collapses"):
+        find_ramification(center, RationalNormalCurve(GF(11), 8))
 
 
 def test_analyze_quintic_345_cusp():
@@ -543,9 +627,10 @@ def test_certify_at_a_prime_below_the_resultant_degree(p, d, ell):
 @pytest.mark.parametrize("p", [10007, 31, 11])
 def test_certify_flags_conjugate_pair_over_fp(p):
     # a center through the rational midpoint of the secant joining the
-    # conjugate points (+-sqrt(s) : 1), s a non-residue: the rational scan
-    # cannot see the collapsed fiber, the degree check reports it.  At p = 31
-    # and 11 the degree-72 secant resultants have more nodes than F_p has points.
+    # conjugate points (+-sqrt(s) : 1), s a non-residue: the search of rational
+    # points cannot see the collapsed fiber, the degree check reports it.  At
+    # p = 11 the degree-12 secant resultants have more nodes than F_p has
+    # points, and the search takes every rational point as a candidate.
     F = GF(p)
     s = next(x for x in range(2, 50) if pow(x, (p - 1) // 2, p) == p - 1)
     d = 7
@@ -563,11 +648,49 @@ def test_certify_flags_conjugate_pair_over_fp(p):
     # the residual is the planted conjugate pair alone: a^2 - s b^2
     assert out["secant_candidate_residual_degree"] == 2
     pair = BinaryForm(F, [F(-s), F.zero, F.one])
-    assert form_gcd(_secant_candidate_form(c), pair) == pair
+    assert form_gcd(_secant_candidate_form(c, _syzygy_biforms(c)), pair) == pair
     # the conjugate fiber has no rational member for the scan to report
     scanned = {q.coords() for cl in find_ramification(c, curve) for q in cl.points}
     conjugate_fiber_markers = {(F(x), F.one) for x in (s,)}  # sqrt(s) itself is irrational
     assert not (scanned & conjugate_fiber_markers)
+
+
+@pytest.mark.parametrize("p", [10007, 31, 11])
+def test_certify_flags_conjugate_tangent_points_over_fp(p):
+    # a center meeting the tangent lines at the conjugate points (+-sqrt(s) : 1),
+    # s a non-residue, in nu(a) + nu'(a) and its conjugate: no rational point is
+    # tangent, and the tangency form is a^2 - s b^2 alone
+    F = GF(p)
+    s = next(x for x in range(2, 50) if pow(x, (p - 1) // 2, p) == p - 1)
+    d = 7
+
+    def part(e, odd):  # the coefficient of sqrt(s)^odd in sqrt(s)^e
+        return pow(s, (e - odd) // 2, p) if e >= 0 and e % 2 == odd else 0
+
+    rows = [[part(d - k, odd) + (d - k) * part(d - k - 1, odd) for k in range(d + 1)]
+            for odd in (0, 1)]
+    c = ProjectionCenter.from_rows(F, d, [[F(x) for x in row] for row in rows])
+    curve = RationalNormalCurve(F, d)
+    assert check_center(c, curve).basepoint_free
+    out = certify_no_extension_ramification(c, curve)
+    assert out["tangency_residual_degree"] == 2 and not out["complete"]
+    assert _tangency_form(c, _syzygy_biforms(c)) == BinaryForm(F, [F(-s), F.zero, F.one])
+    assert find_ramification(c, curve) == []
+
+
+@pytest.mark.parametrize("p", [101, 10007])
+def test_tangency_form_roots_are_the_tangent_points(p):
+    # on stratum samples, the rational roots of gcd_i G_i(P, P) are exactly
+    # the points the scan oracle flags as tangent
+    tangent = 0
+    for center, curve, _ in _stratum_samples(GF(p), 8, 3, random.Random(p)):
+        form = _tangency_form(center, _syzygy_biforms(center))
+        roots = {curve.point(*q) for q, _ in binforms.projective_roots(form)[0]}
+        flagged = {q for cl in ramification_scan(center, curve)
+                   for q, t in zip(cl.points, cl.tangent) if t}
+        assert roots == flagged, center.rows
+        tangent += bool(flagged)
+    assert tangent >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +698,8 @@ def test_certify_flags_conjugate_pair_over_fp(p):
 
 
 def _candidate_roots_of(center):
-    return {pt for pt, _ in project.binforms.projective_roots(_secant_candidate_form(center))[0]}
+    form = _secant_candidate_form(center, _syzygy_biforms(center))
+    return {pt for pt, _ in project.binforms.projective_roots(form)[0]}
 
 
 @pytest.mark.parametrize("field", [QQ, F], ids=["QQ", "GF(10007)"])
@@ -603,56 +727,34 @@ def test_secant_candidate_within_the_pairwise_route(field):
 
 
 @pytest.mark.parametrize("field", [QQ, F, GF(7)], ids=["QQ", "GF(10007)", "GF(7)"])
-def test_combination_matches_the_sum_of_collision_biforms(field):
-    # M^T (C M) on integer rows, divided once by the diagonal, against
-    # L^2 sum c_ij h_ij built pair by pair in field arithmetic; over F_p, L = 1
+def test_syzygy_biforms_match_field_arithmetic(field):
+    # p_i(P)·phi(P') on integer rows, divided by the diagonal along the
+    # antidiagonals, against the product and the division of BiForm in field
+    # arithmetic; and the mu_i x d shapes of the G_i
     rng = random.Random(11)
-    p = field.characteristic
     for d, ell in ((4, 1), (5, 2), (7, 3)):
         rows = [[field(rng.randint(-9, 9)) / field(rng.randint(1, 5)) for _ in range(d + 1)]
                 for _ in range(ell)]
         center = ProjectionCenter.from_rows(field, d, rows)
-        scale = 1 if p else math.lcm(*(c.denominator for row in center.m_basis() for c in row))
-        replay = random.Random(project._SECANT_SEED)
-        for h, _ in zip(secant_combinations(center), range(3)):
-            want = [[c.value if p else c * scale**2 for c in row] for row in h.coeffs]
-            got = _combination(center, replay)
-            assert got == want and all(type(c) is int for row in got for c in row), d
+        got = _syzygy_biforms(center)
+        want = syzygy_biforms(center)
+        assert [g.shape for g in got] == [(len(syz) - 1, d) for syz in _mu_basis(center)[1]]
+        for g, h in zip(got, want):
+            assert [[field(int(c)) for c in row] for row in g.tolist()] == h.coeffs, d
+            assert all(type(c) is int for row in g.tolist() for c in row)
 
 
-def test_certificate_falls_through_to_the_exact_route(monkeypatch):
-    # at q = 37 > deg + 1 = 19 the images of some unit candidates share
-    # spurious factors mod q; the exact resultants of the same pairs decide
-    calls = []
-    exact = project.binforms.resultant_z
-    monkeypatch.setattr(project.binforms, "resultant_z", lambda *h: calls.append(1) or exact(*h))
-    monkeypatch.setattr(project, "_CERTIFICATE_PRIME", 37)
-    rng = random.Random(4)
-    spurious = 0
-    for _ in range(60):
-        center = ProjectionCenter.from_rows(QQ, 4, [[QQ(rng.randint(-9, 9)) for _ in range(5)]])
-        calls.clear()
-        got = _secant_candidate_form(center)
-        spurious += bool(calls) and binforms.form_is_unit(got)
-        assert got == exact_secant_candidate(center)
-    assert spurious >= 2
-
-
-def test_stored_q_candidates_match_the_exact_route(monkeypatch):
-    # the benchmark's 200 stored generic centers over Q at d = 5: a certified
-    # unit is a unit of the exact route, and every other candidate equals it
+def test_stored_q_candidates_match_the_exact_route():
+    # the benchmark's 200 stored generic centers over Q at d = 5: every
+    # candidate equals the one built in field arithmetic, and most are units
     stored = json.loads((Path(__file__).parents[1] / "bench" / "expected.json").read_text())
-    calls = []
-    exact = project.binforms.resultant_z
-    monkeypatch.setattr(project.binforms, "resultant_z", lambda *h: calls.append(1) or exact(*h))
-    certified = 0
+    units = 0
     for entry in stored["q_roundtrip"]["centers"]:
         center = ProjectionCenter.from_rows(QQ, entry["degree"], entry["rows"])
-        calls.clear()
-        got = _secant_candidate_form(center)
-        certified += not calls
+        got = _secant_candidate_form(center, _syzygy_biforms(center))
+        units += binforms.form_is_unit(got)
         assert got == exact_secant_candidate(center)
-    assert certified >= 150
+    assert units >= 150
 
 
 def test_secant_candidate_over_fp_is_the_gcd_of_the_images(monkeypatch):
@@ -669,8 +771,9 @@ def test_secant_candidate_over_fp_is_the_gcd_of_the_images(monkeypatch):
             points = [curve.point(a, 1) for a in rng.sample(range(F.p), stype.branches)]
             spec = stratum_spec(stype, points, curve, 2)
             center = sample_center(spec, rng.randrange(10**6), curve)
+            biforms = _syzygy_biforms(center)
             calls.clear()
-            got = _secant_candidate_form(center)
+            got = _secant_candidate_form(center, biforms)
             assert not calls and not binforms.form_is_unit(got), (d, stype.label)
             assert got == exact_secant_candidate(center), (d, stype.label)
             assert len(calls) >= 2  # the oracle's exact resultants are counted
@@ -678,18 +781,20 @@ def test_secant_candidate_over_fp_is_the_gcd_of_the_images(monkeypatch):
             assert {q.coords() for q in points} <= roots
     # both resultants vanish identically, through every redraw
     center = ProjectionCenter.from_linear_system(F, 3, monomial_rows(3, [0, 3]))
+    biforms = _syzygy_biforms(center)
     calls.clear()
     with pytest.raises(HypothesisViolationError, match="vanish identically"):
-        _secant_candidate_form(center)
+        _secant_candidate_form(center, biforms)
     assert not calls
 
 
 @pytest.mark.parametrize("p", [10007, 100003])
 def test_certified_analysis_builds_each_candidate_form_once(monkeypatch, p):
-    # the search's roots route and the degree check share the candidate forms
-    calls = []
-    make = project._secant_candidate_form
-    monkeypatch.setattr(project, "_secant_candidate_form", lambda c: calls.append(1) or make(c))
+    # the search and the degree check share the mu-basis and the candidate forms
+    calls, bases = [], []
+    make, mu_basis = project._secant_candidate_form, project._mu_basis
+    monkeypatch.setattr(project, "_secant_candidate_form", lambda *a: calls.append(1) or make(*a))
+    monkeypatch.setattr(project, "_mu_basis", lambda c: bases.append(1) or mu_basis(c))
     field = GF(p)
     rng = random.Random(3)
     for d, ell, label in [(5, 2, "2.2.a"), (6, 2, "1.2"), (8, 3, "3.3.a")]:
@@ -697,13 +802,12 @@ def test_certified_analysis_builds_each_candidate_form_once(monkeypatch, p):
         stype = next(t for t in enumerate_types() if t.label == label)
         points = [curve.point(a, 1) for a in rng.sample(range(p), stype.branches)]
         center = sample_center(stratum_spec(stype, points, curve, ell), 7, curve)
-        routed = p > project._ROUTE_CROSSOVER * (2 * (d - 1) ** 2 + 1)
         calls.clear()
+        bases.clear()
         report = analyze(center, curve, certify=True)
-        assert len(calls) == 1, (p, d)
+        assert len(calls) == len(bases) == 1, (p, d)
         assert report.completeness["method"] == "exhaustive scan of rational points"
         assert [cl.type_label for cl in report.clusters] == [label]
-        assert routed == (d < 8 or p > 10**5)  # both routes are covered
 
 
 def test_generic_centers_at_d9_over_q_are_complete():
@@ -715,11 +819,12 @@ def test_generic_centers_at_d9_over_q_are_complete():
         center = ProjectionCenter.from_rows(QQ, 9, rows)
         report = analyze(center, curve)
         assert report.completeness["complete"] is True and report.clusters == []
-        # after the first call the candidate is one batch of images mod 2^31 - 1
+        # the candidate is two small exact resultants of combinations of the G_i
+        biforms = _syzygy_biforms(center)
         seconds = []
         for _ in range(3):
             t0 = time.perf_counter()
-            _secant_candidate_form(center)
+            _secant_candidate_form(center, biforms)
             seconds.append(time.perf_counter() - t0)
         assert min(seconds) < 0.05, seconds
 
@@ -747,11 +852,115 @@ def test_generic_centers_at_d9_over_fp_certify():
 
 
 def test_vanishing_combination_resultants_are_a_violation():
-    # M = <x^3, y^3> (n = 1): one collision biform, so every pair of
-    # combinations shares it and each resultant vanishes identically
+    # M = <x^3, y^3> (n = 1): one syzygy, so every combination is a multiple
+    # of G_1 and each resultant vanishes identically
     center = ProjectionCenter.from_linear_system(QQ, 3, monomial_rows(3, [0, 3]))
     with pytest.raises(HypothesisViolationError, match="vanish identically"):
-        _secant_candidate_form(center)
+        _secant_candidate_form(center, _syzygy_biforms(center))
+
+
+# ---------------------------------------------------------------------------
+# the mu-basis against an independent oracle
+
+
+def _form_mul(f, g, field):
+    out = [field.zero] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _cross_product(columns, field):
+    """(-1)^j times the n x n minor without row j of the (n + 1) x n matrix of
+    forms with the given columns, by Laplace expansion along the last column
+    over row subsets; forms are low-first lists of field elements."""
+
+    @functools.cache
+    def det(subset):  # the rows in subset, the first len(subset) columns
+        if not subset:
+            return (field.one,)
+        col, acc = columns[len(subset) - 1], None
+        for pos, r in enumerate(subset):
+            term = _form_mul(col[r], det(subset[:pos] + subset[pos + 1 :]), field)
+            if (len(subset) - 1 - pos) % 2:
+                term = [-x for x in term]
+            acc = term if acc is None else [x + y for x, y in zip(acc, term)]
+        return tuple(acc)
+
+    full = tuple(range(len(columns[0])))
+    return [[x if j % 2 == 0 else -x for x in det(full[:j] + full[j + 1 :])] for j in full]
+
+
+def _syzygy_count(phi, t, field):
+    """The dimension of the syzygies of degree t: the nullity of the
+    multiplication matrix, by the rank oracle of conftest."""
+    k, d = len(phi), len(phi[0]) - 1
+    rows = [
+        [phi[j][m - s] if 0 <= m - s <= d else field.zero for s in range(t + 1) for j in range(k)]
+        for m in range(d + t + 1)
+    ]
+    return k * (t + 1) - independent_rank(rows, field, k * (t + 1))
+
+
+def _mu_basis_centers(field, rng):
+    """Random centers at d = 2..9, ell = 1..3, the sharp families with
+    ell = 2 and 3 (profiles (1, ..., 1, 3) and (1, ..., 1, 4)), and over
+    fields with at least 101 elements stratum samples at (d, ell) = (5, 2)
+    and (8, 3)."""
+    for d in range(2, 10):
+        for ell in range(1, min(3, d - 1) + 1):
+            rows = [[field(rng.randint(-9, 9)) for _ in range(d + 1)] for _ in range(ell)]
+            yield ProjectionCenter.from_rows(field, d, rows)
+        for ell in (2, 3):
+            if d > ell + 1:
+                yield ProjectionCenter.from_linear_system(field, d, sharp_family_system(d, d - ell))
+    if field == QQ or field.p >= 101:
+        for d, ell in ((5, 2), (8, 3)):
+            curve = RationalNormalCurve(field, d)
+            for stype in (t for t in enumerate_types() if t.delta <= ell):
+                points = [curve.point(1, 0)] + [curve.point(a, 1) for a in range(1, stype.branches)]
+                spec = stratum_spec(stype, points, curve, ell)
+                yield sample_center(spec, rng.randrange(10**6), curve)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [QQ, GF(3), GF(7), GF(101), GF(2**31 - 1)],
+    ids=["QQ", "GF(3)", "GF(7)", "GF(101)", "GF(2^31-1)"],
+)
+def test_mu_basis_against_an_independent_oracle(field):
+    """Each p_i is a syzygy of phi, whose rows are multiples of the forms of
+    M; sum mu_i = d - deg gcd(M); the signed n x n minors of the p_i are c·phi
+    with c a nonzero constant; and for every t the syzygies of degree t
+    number sum max(0, t - mu_i + 1) by a plain nullity."""
+    rng = random.Random(26)
+    profiles = set()
+    for center in _mu_basis_centers(field, rng):
+        d, n = center.degree, center.n
+        raw, basis = _mu_basis(center)
+        phi = [[field(c) for c in row] for row in raw.tolist()]
+        for row, m_row in zip(raw.tolist(), center.m_basis()):
+            assert proportional(row[::-1], m_row) if field == QQ else row[::-1] == m_row
+        syz = [[[field(c) for c in col] for col in p.T.tolist()] for p in basis]
+        mu = [len(s[0]) - 1 for s in syz]
+        assert len(syz) == n and mu == sorted(mu) and mu[0] >= 1
+        for s, m in zip(syz, mu):
+            total = [field.zero] * (m + d + 1)
+            for p_ij, f_j in zip(s, phi):
+                total = [x + y for x, y in zip(total, _form_mul(p_ij, f_j, field))]
+            assert not any(total), mu
+        common = binforms.gcd_many([BinaryForm(field, row) for row in phi])
+        assert sum(mu) == d - common.formal_degree, mu
+        for t in range(mu[-1] + 2):
+            assert _syzygy_count(phi, t, field) == sum(max(0, t - m + 1) for m in mu), (t, mu)
+        if sum(mu) == d:
+            minors = _cross_product(syz, field)
+            j, e = next((j, e) for j, row in enumerate(phi) for e, c in enumerate(row) if c)
+            c = minors[j][e] / phi[j][e]
+            assert c != 0 and minors == [[c * x for x in row] for row in phi], mu
+            profiles.add((d, tuple(mu)))
+    assert {(8, (1, 1, 1, 1, 4)), (5, (1, 1, 3)), (8, (1, 1, 2, 2, 2))} <= profiles, profiles
 
 
 def test_irrational_ramification_over_q():
@@ -1220,7 +1429,8 @@ def _probe(source, *args):
     """Run a probe script in a fresh interpreter under a 2 GB address-space
     limit, so that an array of order p at p = 2^31 - 1 fails fast."""
     src = Path(project.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    path = os.pathsep.join([str(src), str(Path(__file__).parent)])  # the oracles of conftest
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
     header = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
     out = subprocess.run(
         [sys.executable, "-c", header + source, *map(str, args)],
@@ -1233,12 +1443,12 @@ def _probe(source, *args):
 _SCAN_BOUND_PROBE = """
 import sys
 from gapcurve import GF, ProjectionCenter, RationalNormalCurve, ValidationError
-from gapcurve.project import _ramification_scan_gfp
+from conftest import ramification_scan
 d, n, field = int(sys.argv[1]), int(sys.argv[2]), GF(2**31 - 1)
 system = [[int(j == k) for j in range(d + 1)] for k in [0] + list(range(d - n + 1, d + 1))]
 center = ProjectionCenter.from_linear_system(field, d, system)
 try:
-    _ramification_scan_gfp(center, RationalNormalCurve(field, d))
+    ramification_scan(center, RationalNormalCurve(field, d))
 except ValidationError as exc:
     print(exc)
 """
@@ -1246,10 +1456,9 @@ except ValidationError as exc:
 
 @pytest.mark.parametrize("d, n", [(5, 3), (8, 5)])
 def test_scan_refuses_fields_past_its_int64_bound(d, n):
-    """At p = 2^31 - 1, (d + 1)(p - 1)^2 >= 2^63, so the scan of a
-    sharp-family center raises a ValidationError before it allocates an
-    array.  find_ramification takes the roots route there; the scan's guard
-    is probed directly."""
+    """At p = 2^31 - 1, (d + 1)(p - 1)^2 >= 2^63, so the scan oracle raises a
+    ValidationError on a sharp-family center before it allocates an array
+    (find_ramification answers there, see test_search_at_the_largest_prime)."""
     out = _probe(_SCAN_BOUND_PROBE, d, n)
     assert "(d + 1)(p - 1)^2 < 2^63" in out
     assert "clusters" in out
@@ -1277,9 +1486,9 @@ print(json.dumps([
 
 
 def test_search_at_the_largest_prime():
-    """The search over F_(2^31 - 1) takes the roots route: it finds the planted
-    clusters of test_analyze_clusters_at_largest_prime, and the cusps of the
-    sharp family at (1 : 0), with no array of order p."""
+    """The search over F_(2^31 - 1) finds the planted clusters of
+    test_analyze_clusters_at_largest_prime, and the cusps of the sharp family
+    at (1 : 0), with no array of order p."""
     got = json.loads(_probe(_SEARCH_PROBE, json.dumps(_LARGEST_PRIME_CASES)))
     # sort_key order: finite points by value, then (1 : 0)
     want = [[[label, sorted(map(list, coords), key=lambda c: (c[1] == 0, c[0]))]]
