@@ -28,9 +28,8 @@ of the residues, reduced mod p, is the one over F_p, for every p.
 ``resultant_images`` takes the same resultants mod a prime q in one int64
 kernel; over F_p, once p > deg + 1, they are the resultants themselves.  Its
 bound, which it enforces: q < 2^31, so a product of two residues stays below
-2^62 and is reduced before any add; its one matrix product splits a factor
-into 16-bit halves, so each of its deg + 1 < 2^16 terms stays below 2^47 and
-their sum below 2^63.
+2^62 and is reduced before any add; its one matrix product runs in
+``linalg.matmul``, which needs deg + 1 < 2^16.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from math import gcd as int_gcd, lcm
 
 import numpy as np
 
+from . import linalg
 from .errors import GapcurveError, ValidationError
 from .fields import PrimeField, is_prime
 
@@ -345,9 +345,7 @@ def resultant_images(pairs, q: int) -> np.ndarray:
     for i in range(m):
         syl[:, n + i, i : i + n + 1] = g
     dets = _dets_mod(syl, q).reshape(len(pairs), deg + 1).T
-    w = _interpolation(deg + 1, q)
-    # w @ dets by 16-bit halves: each of the deg + 1 < 2^16 terms stays below 2^47
-    return ((w @ (dets >> 16) % q << 16) + w @ (dets & 0xFFFF) % q).T % q
+    return linalg.matmul(_interpolation(deg + 1, q), dets, q).T
 
 
 def _dets_mod(a, q: int) -> np.ndarray:

@@ -164,9 +164,13 @@ def close_algebra(space: SeriesSubspace) -> SeriesSubspace:
     convenience default, so no unit is ever adjoined silently.  The result is
     exact as a jet image of the generated subalgebra at the ambient precision.
 
-    Rounds multiply only the frontier by the input generators R0 and run one
-    echelon.  The frontier is the rows with new pivots, a complement N of the old
-    span T, and T.R0 lies in T + N.R0, so the loop ends once T.R0 lies in T.
+    Rounds multiply only the frontier by the input generators R0.  The frontier
+    is the rows with new pivots, a complement N of the old span T, and T.R0 lies
+    in T + N.R0, so the loop ends once N.R0 lies in T.  Each round reduces the
+    products against the echelon rows of T (``linalg.reduce``), drops the zero
+    rows and echelonizes only the residue; its rows are the next frontier.  The
+    rows of T are reduced by those, and the two sets merge by pivot, which
+    gives the echelon form of the whole stack.
     """
     if not space.contains_unit():
         raise MissingUnitError(
@@ -175,12 +179,17 @@ def close_algebra(space: SeriesSubspace) -> SeriesSubspace:
     ambient = space.ambient
     p = ambient.field.characteristic
     frontier = generators = rows = space._rows
-    pivots = space.pivots
-    while len(frontier):
-        old = set(pivots)
+    pivots = list(space.pivots)
+    while len(pivots) < ambient.width:  # each round adds a pivot
         products = _products(frontier, generators, ambient.branches, p)
-        rows, pivots = linalg.echelon(np.vstack([rows, products]), p)
-        frontier = rows[[pc not in old for pc in pivots]]
+        residue = linalg.reduce(products, rows, pivots, p)
+        residue = residue[residue.any(axis=1)]
+        if not len(residue):
+            break
+        frontier, new = linalg.echelon(residue, p)
+        order = np.argsort(pivots + new, kind="stable")
+        rows = np.vstack([linalg.reduce(rows, frontier, new, p), frontier])[order]
+        pivots = sorted(pivots + new)
     return SeriesSubspace(ambient, rows, pivots)
 
 

@@ -1,10 +1,12 @@
 """Dense exact linear algebra over the base fields.
 
 Matrices are lists of rows, rows are lists of field elements.  All routines
-are exact.  Every elimination runs in one fraction-free numpy kernel,
-``_eliminate``, on one array from ``matrix``: over a prime field int64
+are exact and run on arrays from ``matrix``: over a prime field int64
 residues mod p, over the rationals rows scaled into integers (Python ints in
-an object array).  Reduced forms divide by each pivot once, at the end.
+an object array).  Two numpy kernels serve both fields.  Every elimination
+runs in the fraction-free ``_eliminate``; reduced forms divide by each pivot
+once, at the end.  Every product of two arrays runs in ``matmul``, which
+states and enforces its int64 bound.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import GapcurveError
 from .fields import GFElement
 
 
@@ -145,12 +148,45 @@ def elements(a: np.ndarray, field) -> list:
     return out
 
 
-def dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """A·Bᵀ of two arrays from ``matrix``.  p > 0: every product of two residues
-    (below 2^62 for p < 2^31) is reduced before summing, so a sum of n terms
-    stays below n·p and is exact.  p = 0: Python ints."""
-    prod = a[:, None, :] * b[None, :, :]
-    return (prod % p).sum(axis=2) % p if p else prod.sum(axis=2)
+def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p of int64 residues (p > 0), or a @ b of Python ints in object
+    arrays (p = 0); stacks of matrices broadcast as in ``@``.
+
+    With n the inner dimension, a sum of n products of residues is exact in
+    int64 while n·(p − 1)² < 2^63.  Past that, a splits into 16-bit halves and
+    each half product is reduced mod p before the two are added: for p < 2^31
+    its terms stay below 2^47, so n < 2^16 keeps each sum exact, and a larger
+    n is refused.
+    """
+    if not p:
+        return a @ b
+    n = a.shape[-1]
+    if n * (p - 1) ** 2 < 1 << 63:
+        return a @ b % p
+    if n >= 1 << 16:
+        raise GapcurveError(f"no exact int64 product of inner dimension {n} mod {p}")
+    return (((a >> 16) @ b % p << 16) + (a & 0xFFFF) @ b % p) % p
+
+
+def reduce(a: np.ndarray, rows: np.ndarray, pivots: list, p: int) -> np.ndarray:
+    """The rows of a reduced against echelon rows from ``echelon``: a fresh
+    array, zero at every pivot column, each row congruent to its row of a
+    modulo the span of ``rows`` (over Q, up to a nonzero scale).
+
+    p > 0: the rows are RREF rows with pivot entries 1, so this is one product,
+    a − a[:, pivots]·rows.  p = 0: pivot by pivot, each row v of a that is
+    nonzero at the pivot c of a row u becomes u[c]·v − v[c]·u divided by its
+    content, the step of ``_eliminate``, so primitive rows stay primitive.
+    The rows are reduced, so a step leaves the other pivot columns as they are.
+    """
+    if p:
+        return (a - matmul(a[:, pivots], rows, p)) % p
+    a = a.copy()
+    for u, c in zip(rows, pivots):
+        sel = a[:, c].nonzero()[0]
+        if len(sel):
+            a[sel] = _primitive(a[sel] * u[c] - np.outer(a[sel, c], u))
+    return a
 
 
 def rref(rows, field):
@@ -225,13 +261,13 @@ def image_block(rows, m_rows, field):
     rank(F·Mᵀ), all pivots count rank F, and the pivots at index >= k count
     dim(F ∩ ker Mᵀ).
 
-    J and M become arrays from ``matrix`` and J·Mᵀ comes from ``dot``.  Over
+    J and M become arrays from ``matrix`` and J·Mᵀ comes from ``matmul``.  Over
     the rationals the rows of J and M are scaled into Z one by one; that
     scales rows of the block and columns of J·Mᵀ, and moves no pivot.
     """
     n = len(m_rows[0])
     j = matrix(rows, field, n)
-    return np.hstack([dot(j, matrix(m_rows, field, n), field.characteristic), j])
+    return np.hstack([matmul(j, matrix(m_rows, field, n).T, field.characteristic), j])
 
 
 def _dot_rows(a_rows, b_rows, field):

@@ -275,7 +275,7 @@ def _syzygy_biforms(center: ProjectionCenter):
     out = []
     for syz in basis:
         mu = len(syz) - 1
-        prod = linalg.dot(syz, phi.T, p)  # p_i(P)·phi(P'), entry (s, t) as above
+        prod = linalg.matmul(syz, phi, p)  # p_i(P)·phi(P'), entry (s, t) as above
         # long division by a b' - a' b: each quotient term is a sum along an antidiagonal
         quot = np.zeros((mu, d), dtype=prod.dtype)
         for u in range(1, mu + 1):
@@ -492,7 +492,7 @@ def _cluster_series_builder(center, curve, points, s_coeffs):
         if p:
             sections = linalg.matrix([s_coeffs, *m_rows], field, curve.dim_w)
             jets = [linalg.matrix(curve.osc_rows(q, n), field, curve.dim_w) for q in points]
-            exps = np.hstack([linalg.dot(sections, j, p) for j in jets])
+            exps = np.hstack([linalg.matmul(sections, j.T, p) for j in jets])
             return amb, _products(exps[1:], _gfp_inverse(exps[:1], r, p), r, p)
         per_point = [_expansions(curve, [s_coeffs, *m_rows], q, n) for q in points]
         s_exp, *m_exps = [sum(row, []) for row in zip(*per_point)]

@@ -285,22 +285,30 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 def _products(a: np.ndarray, b: np.ndarray, branches: int, p: int) -> np.ndarray:
     """Every product a_i·b_j of two arrays of series rows, as row i·len(b) + j.
 
-    Branch-wise truncated convolution: N shifted multiply-adds over an
-    (f, g, r, N) array.  p > 0: int64 residues.  Each product of two residues
-    stays below 2^62 for p < 2^31, which PrimeField enforces, and is reduced
-    mod p before it is added, so a sum of N of them stays below N·p and is
-    exact in int64.  p = 0: Python ints in object arrays, and each product row
-    is divided by its content, so it is a multiple of the product series.
+    Branch-wise truncated convolution.  p > 0: int64 residues and one
+    ``linalg.matmul`` over the branches, each the branch's columns of a times
+    the Toeplitz matrix of b's, whose row m holds every b_j shifted by m; so
+    the temporary is N·len(b)·N per branch, sized by the second operand.  p = 0:
+    Python ints in object arrays, by N shifted multiply-adds, which skip the
+    Toeplitz matrix's zero half; each product row is divided by its content,
+    so it is a multiple of the product series.
     """
     n = a.shape[1] // branches
+    if p:
+        x = a.reshape(len(a), branches, n).transpose(1, 0, 2)
+        # padded[j, k, n - 1 + e] is b_j's coefficient of t^e on branch k, zero for e < 0
+        padded = np.zeros((len(b), branches, 2 * n - 1), dtype=a.dtype)
+        padded[..., n - 1 :] = b.reshape(len(b), branches, n)
+        shift = np.arange(n - 1, 2 * n - 1) - np.arange(n)[:, None]  # (m, l) -> n - 1 + l - m
+        toeplitz = padded[:, :, shift].transpose(1, 2, 0, 3).reshape(branches, n, len(b) * n)
+        out = linalg.matmul(x, toeplitz, p).reshape(branches, len(a), len(b), n)
+        return out.transpose(1, 2, 0, 3).reshape(len(a) * len(b), branches * n)
     x = a.reshape(len(a), 1, branches, n)
     y = b.reshape(1, len(b), branches, n)
     out = np.zeros((len(a), len(b), branches, n), dtype=a.dtype)
     for i in range(n):
-        term = x[..., i : i + 1] * y[..., : n - i]
-        out[..., i:] += term % p if p else term
-    out = out.reshape(len(a) * len(b), branches * n)
-    return out % p if p else linalg._primitive(out)
+        out[..., i:] += x[..., i : i + 1] * y[..., : n - i]
+    return linalg._primitive(out.reshape(len(a) * len(b), branches * n))
 
 
 def _gfp_inverse(a: np.ndarray, branches: int, p: int) -> np.ndarray:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gapcurve import binforms, linalg, project
+from gapcurve import binforms, linalg, project, series
 from gapcurve.errors import ValidationError
 from gapcurve.fields import GF, QQ
 
@@ -110,6 +110,36 @@ def proportional(row, want) -> bool:
     j = next(j for j, x in enumerate(want) if x)
     c = Fraction(row[j]) / want[j]
     return c != 0 and [Fraction(x) for x in row] == [c * x for x in want]
+
+
+def stacked_closure(space):
+    """(rows, pivots) of the closure by stacking: each round multiplies the
+    frontier by the input rows and echelonizes the old rows and the products
+    together, with a full ``echelon`` of the stack every round."""
+    amb, p = space.ambient, space.field.characteristic
+    frontier = generators = rows = space._rows
+    pivots = space.pivots
+    while len(frontier):
+        old = set(pivots)
+        products = series._products(frontier, generators, amb.branches, p)
+        rows, pivots = linalg.echelon(np.vstack([rows, products]), p)
+        frontier = rows[[pc not in old for pc in pivots]]
+    return rows, pivots
+
+
+def fuzz_space(field, rng, r, n):
+    """A space drawn as ``fuzz-key-lemma`` draws them: the unit and, per branch,
+    one to three of t^e (1 <= e <= 5), each plus a random t^(e+1) term half
+    the time."""
+    amb = series.Ambient(field, r, n)
+    vectors = [series.TruncatedSeries.unit(amb)]
+    for i in range(r):
+        for e in sorted({rng.randrange(1, 6) for _ in range(rng.randrange(1, 4))}):
+            terms = [(i, e, field.one)]
+            if rng.random() < 0.5 and e + 1 < n:
+                terms.append((i, e + 1, field.random_element(rng)))
+            vectors.append(series.TruncatedSeries.from_monomials(amb, terms))
+    return series.SeriesSubspace.span(amb, vectors)
 
 
 def per_cell_jet_rank(space, alpha) -> int:

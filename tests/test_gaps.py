@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -18,7 +19,7 @@ from gapcurve.gaps import (
 )
 from gapcurve.series import Ambient, SeriesSubspace, TruncatedSeries
 
-from conftest import per_cell_jet_rank
+from conftest import fuzz_space, per_cell_jet_rank, stacked_closure
 
 
 def monomial_space(field, r, n, exponent_sets, with_unit=True):
@@ -177,6 +178,30 @@ def test_int64_closure_matches_boxed_oracle(field, r):
         assert (closed.rows, closed.pivots) == naive_closure(space)
     if p <= r:
         assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("n", [14, 64])
+@pytest.mark.parametrize(
+    "field", [GF(3), GF(101), GF(2**31 - 1), QQ], ids=["Fp:3", "Fp:101", "p=2^31-1", "rational"]
+)
+def test_close_algebra_matches_stacked_closure(field, n):
+    """The closure, which echelonizes only each round's residue, against the
+    stacking loop, which echelonizes the old rows and the products together,
+    on spaces drawn as ``fuzz-key-lemma`` draws them, up to the truncation
+    cap.  Over F_p the int64 arrays agree; over Q the boxed RREF, and every
+    row is primitive."""
+    rng = random.Random(n + field.characteristic)
+    for r in (1, 2, 3):
+        for _ in range(2):
+            space = fuzz_space(field, rng, r, n)
+            closed = close_algebra(space)
+            rows, pivots = stacked_closure(space)
+            assert closed.pivots == pivots
+            if field.characteristic:
+                assert closed._rows.dtype == np.int64 and np.array_equal(closed._rows, rows)
+            else:
+                assert closed.rows == linalg.elements(rows, field)
+                assert all(math.gcd(*row) == 1 for row in closed._rows.tolist())
 
 
 def test_gap_eval_golden_values():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,10 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapcurve import linalg
-from gapcurve.errors import ValidationError
-from gapcurve.fields import GF, QQ
+from gapcurve.errors import GapcurveError, ValidationError
+from gapcurve.fields import GF, QQ, is_prime
 
-from conftest import batch_inverse, field_rref, independent_rank, stacked_pivots
+from conftest import (
+    batch_inverse,
+    field_rref,
+    independent_rank,
+    proportional,
+    stacked_pivots,
+)
 
 
 def random_matrix(field, rng, nrows, ncols):
@@ -195,3 +202,93 @@ def test_batch_inverse(p):
     assert [int(x) for x in got] == [pow(v, -1, p) for v in vals]
     with pytest.raises(ValidationError):  # products of residues would pass 2^62
         batch_inverse(np.array([2], dtype=np.int64), 2**31 + 11)
+
+
+def _primes_around_bound(n):
+    """The largest prime p with n·(p − 1)² < 2^63, where ``matmul`` multiplies
+    in plain int64, and the smallest prime past it, where it splits."""
+    edge = math.isqrt(((1 << 63) - 1) // n) + 1  # the largest p below the bound
+    below = next(q for q in range(edge, 2, -1) if is_prime(q))
+    above = next(q for q in range(edge + 1, 2 * edge) if is_prime(q))
+    assert n * (below - 1) ** 2 < 1 << 63 <= n * (above - 1) ** 2
+    return [below, above]
+
+
+@pytest.mark.parametrize("n", [1, 14, 192])
+def test_matmul_matches_python_ints(n):
+    """a @ b mod p against sums of Python ints, on both sides of the int64
+    bound and at p = 2^31 - 1, with uniform residues and residues within 60
+    of p; stacks of matrices broadcast as in ``@``."""
+    rng = random.Random(n)
+    for p in [3, 101, 10007, 2**31 - 1, *_primes_around_bound(n)]:
+        for low in (0, max(0, p - 60)):
+            a = [[[rng.randrange(low, p) for _ in range(n)] for _ in range(4)] for _ in range(2)]
+            b = [[[rng.randrange(low, p) for _ in range(3)] for _ in range(n)] for _ in range(2)]
+            got = linalg.matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
+            want = [
+                [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*bk)] for row in ak]
+                for ak, bk in zip(a, b)
+            ]
+            assert got.dtype == np.int64 and got.tolist() == want, p
+    # over Q: Python ints in object arrays, no modulus
+    a = [[rng.randrange(-(10**30), 10**30) for _ in range(n)] for _ in range(3)]
+    b = [[rng.randrange(-(10**30), 10**30) for _ in range(2)] for _ in range(n)]
+    got = linalg.matmul(np.array(a, dtype=object), np.array(b, dtype=object), 0)
+    assert got.tolist() == [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_matmul_refuses_an_inner_dimension_past_its_bound():
+    """At p = 2^31 - 1 the split is exact up to an inner dimension of 2^16 - 1,
+    with every residue at p - 1, and refuses 2^16 before multiplying."""
+    p, top = 2**31 - 1, (1 << 16) - 1
+    a = np.full((1, top), p - 1, dtype=np.int64)
+    assert linalg.matmul(a, a.T, p).tolist() == [[top * (p - 1) ** 2 % p]]
+    a = np.full((1, top + 1), p - 1, dtype=np.int64)
+    with pytest.raises(GapcurveError, match="inner dimension 65536"):
+        linalg.matmul(a, a.T, p)
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, GF(3), GF(101), GF(2**31 - 1)], ids=["QQ", "p3", "p101", "p2^31-1"]
+)
+def test_reduce_matches_stacked_echelon(field):
+    """Rows reduced against echelon rows: zero at every pivot, each row minus
+    the combination of RREF rows given by its pivot entries (over Q, of a
+    primitive row, a primitive multiple of it), and together with the echelon rows the same echelon form
+    as the stack of the echelon rows and the unreduced rows."""
+    p = field.characteristic
+    rng = random.Random(31 + p)
+    for _ in range(25):
+        ncols = rng.randrange(1, 10)
+        dead = set(rng.sample(range(ncols), rng.randrange(ncols)))
+        basis = [
+            [field.zero if c in dead else field.random_element(rng) for c in range(ncols)]
+            for _ in range(rng.randrange(0, ncols + 1))
+        ]
+        rows, pivots = linalg.echelon(linalg.matrix(basis, field, ncols), p)
+        red = field_rref(basis, field)[0] if basis else []
+        targets = random_matrix(field, rng, rng.randrange(1, 5), ncols)
+        targets.append([field.zero] * ncols)
+        if basis:
+            coeffs = [field.random_element(rng) for _ in basis]
+            targets.append(linalg.combine(coeffs, basis, field, ncols))
+        a = linalg.matrix(targets, field, ncols)
+        if not p:  # primitive rows, as products of series are
+            a = linalg._primitive(a)
+        got = linalg.reduce(a, rows, pivots, p)
+        assert got.shape == a.shape and not got[:, pivots].any()
+        for row, g in zip(targets, got.tolist()):
+            want = list(row)
+            for c, u in zip(pivots, red):
+                want = [x - row[c] * y for x, y in zip(want, u)]
+            if p:
+                assert g == [x.value for x in want]
+            elif any(want):
+                assert proportional(g, want) and math.gcd(*g) == 1
+            else:
+                assert not any(g)
+
+        def stacked(b):
+            return linalg.elements(linalg.echelon(np.vstack([rows, b]), p)[0], field)
+
+        assert stacked(got) == stacked(a)
