@@ -180,14 +180,14 @@ def close_algebra(space: SeriesSubspace) -> SeriesSubspace:
     p = ambient.field.characteristic
     frontier = generators = rows = space._rows
     pivots = list(space.pivots)
-    while len(pivots) < ambient.width:  # each round adds a pivot
+    while len(pivots) < ambient.width:  # a full space is closed
         products = _products(frontier, generators, ambient.branches, p)
         residue = linalg.reduce(products, rows, pivots, p)
         residue = residue[residue.any(axis=1)]
         if not len(residue):
             break
         frontier, new = linalg.echelon(residue, p)
-        order = np.argsort(pivots + new, kind="stable")
+        order = np.argsort(pivots + new)
         rows = np.vstack([linalg.reduce(rows, frontier, new, p), frontier])[order]
         pivots = sorted(pivots + new)
     return SeriesSubspace(ambient, rows, pivots)

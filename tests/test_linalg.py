@@ -253,9 +253,9 @@ def test_matmul_refuses_an_inner_dimension_past_its_bound():
 )
 def test_reduce_matches_stacked_echelon(field):
     """Rows reduced against echelon rows: zero at every pivot, each row minus
-    the combination of RREF rows given by its pivot entries (over Q, of a
-    primitive row, a primitive multiple of it), and together with the echelon rows the same echelon form
-    as the stack of the echelon rows and the unreduced rows."""
+    the combination of RREF rows given by its pivot entries (over Q, a
+    primitive multiple of it), and with the echelon rows the same echelon
+    form as the stack of the echelon rows and the unreduced rows."""
     p = field.characteristic
     rng = random.Random(31 + p)
     for _ in range(25):
