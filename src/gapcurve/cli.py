@@ -47,6 +47,7 @@ from .gaps import (
     GapFunction,
     close_algebra,
     close_and_stabilize,
+    delta_lower_bound,
     key_lemma_holds,
 )
 from .project import ProjectionCenter, analyze
@@ -164,12 +165,14 @@ def _report_json(report, field):
 # command implementations
 
 
-def _parse_series_vectors(field, params):
+def _parse_series_vectors(field, params, cap):
     _check_keys(
         params, {"branches", "truncation", "vectors", "adjoin_unit"}, "classify-series params"
     )
     r = _check_int("branches", params.get("branches"), 1)
     n = _check_int("truncation", params.get("truncation", 16), 2)
+    if n > cap:
+        raise ValidationError(f"truncation {n} exceeds truncation_cap {cap}")
     vectors = params.get("vectors")
     if not isinstance(vectors, list) or not vectors:
         raise ValidationError("vectors must be a nonempty list")
@@ -192,7 +195,7 @@ def _parse_series_vectors(field, params):
 
 
 def _cmd_classify_series(job: JobSpec):
-    amb, vectors = _parse_series_vectors(job.field, job.params)
+    amb, vectors = _parse_series_vectors(job.field, job.params, job.truncation_cap)
     # the input is already at fixed precision; escalation past it is capped
     space, closed, gap, delta = close_and_stabilize(
         lambda n: (amb, vectors), amb.truncation, cap=amb.truncation
@@ -392,6 +395,12 @@ def _cmd_fuzz_key_lemma(job: JobSpec):
     count = _check_int("count", params.get("count", 50), 0)
     max_branches = _check_int("max_branches", params.get("max_branches", 3), 1)
     max_delta = _check_int("max_delta", params.get("max_delta", 4), 0)
+    n = 2 * max_delta + 6
+    if n > job.truncation_cap:
+        raise ValidationError(
+            f"max_delta {max_delta} needs truncation 2*max_delta + 6 = {n}, "
+            f"above truncation_cap {job.truncation_cap}"
+        )
     import random as _random
 
     rng = _random.Random(job.seed)
@@ -402,7 +411,6 @@ def _cmd_fuzz_key_lemma(job: JobSpec):
     while checked < count and attempts < 50 * count:
         attempts += 1
         r = rng.randrange(1, max_branches + 1)
-        n = 2 * max_delta + 6
         amb = Ambient(field, r, n)
         vectors = [TruncatedSeries.unit(amb)]
         for i in range(r):
@@ -412,6 +420,8 @@ def _cmd_fuzz_key_lemma(job: JobSpec):
                     terms.append((i, e + 1, field.random_element(rng)))
                 vectors.append(TruncatedSeries.from_monomials(amb, terms))
         space = SeriesSubspace.span(amb, vectors)
+        if delta_lower_bound(space) > max_delta:
+            continue  # not certified, or delta > max_delta: discarded below anyway
         closed = close_algebra(space)
         gap = GapFunction(closed, ALGEBRA_CLOSED)
         try:

@@ -11,11 +11,17 @@ line (alpha_1, ..., alpha_{r-1}, a) for a <= alpha_r from one elimination.  The
 memo is a plain dict, so one instance is single-threaded by contract; use
 clone() to hand copies to other threads.  Everything else in this module is
 immutable.
+
+delta_lower_bound reads a lower bound on delta from a space's column supports
+alone, before any closure: the constant terms generate only functions that
+are constant on blocks of branches, and products add exponents only inside
+the monoid of the exponents each branch uses.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import gcd
 
 import numpy as np
 
@@ -26,7 +32,7 @@ from .errors import (
     StabilizationCapError,
     ValidationError,
 )
-from .series import SeriesSubspace, _products
+from .series import INF, SeriesSubspace, _products
 
 VECTOR_SPACE = "vector-space"
 ALGEBRA_CLOSED = "algebra-closed"
@@ -191,6 +197,48 @@ def close_algebra(space: SeriesSubspace) -> SeriesSubspace:
         rows = np.vstack([linalg.reduce(rows, frontier, new, p), frontier])[order]
         pivots = sorted(pivots + new)
     return SeriesSubspace(ambient, rows, pivots)
+
+
+def delta_lower_bound(space: SeriesSubspace):
+    """A lower bound on delta of the algebra A that a unit-containing space R
+    generates, from its column supports alone; INF when delta is infinite.
+
+    delta = dim S / A splits as the codimension of A's constant terms in K^r
+    plus that of A's part without them.  The constant terms of A are the
+    algebra the columns of R's constant terms generate, functions constant
+    where those columns agree: r minus the number of distinct columns.  On
+    branch i every element of A has its exponents in the monoid <E_i> of the
+    exponents >= 1 that R uses there, so each positive integer outside it is
+    missing: infinitely many when gcd(E_i) != 1, or when R's branch-i part
+    without constant terms is spanned by one g of order >= 2, as A's branch-i
+    projection then lies in K[[g]].
+    """
+    n = space.ambient.truncation
+    rows = space._rows
+    bound = space.ambient.branches - len({tuple(c) for c in rows[:, ::n].T.tolist()})
+    for i in range(space.ambient.branches):
+        block = rows[:, i * n + 1 : (i + 1) * n]
+        used = (np.flatnonzero(block.any(axis=0)) + 1).tolist()
+        if gcd(*used) != 1:  # gcd() = 0 for a branch without positive exponents
+            return INF
+        if used[0] >= 2 and linalg.rank(block, space.field) == 1:
+            return INF
+        bound += _monoid_gaps(used)
+    return bound
+
+
+def _monoid_gaps(generators: list) -> int:
+    """How many positive integers lie outside the monoid that the ascending
+    generators, of gcd 1, generate; past a run of generators[0] members every
+    integer is a member."""
+    member = [True]
+    run = gaps = 0
+    while run < generators[0]:
+        k = len(member)
+        member.append(any(member[k - g] for g in generators if g <= k))
+        run = run + 1 if member[k] else 0
+        gaps += not member[k]
+    return gaps
 
 
 def compositions(total: int, parts: int):

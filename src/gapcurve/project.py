@@ -21,12 +21,15 @@ exactly, so the biforms G_i = p_i(P)·phi(P') / (a b' - a' b), of low degree
 mu_i - 1 in P, vanish together exactly on the secant pairs and, on the
 diagonal, at the points whose tangent line meets the center.  The tangency
 form is gcd_i G_i(P, P); the secant candidate is the gcd of res_P(H_1, H_2)
-over two pairs of random combinations H of the G_i.  Their base-field roots
-are extracted, and one partner form per unplaced root gives its fiber.  Over
-the rationals any locus that cannot be resolved to rational points is an
-explicit error.  Over a prime field the rational clusters are returned, and
-points over extension fields can optionally be certified absent, from the
-residual degrees of the same two candidate forms.
+over two pairs of random combinations H of the G_i.  A tangent point P makes
+(P, P) a common zero of the G_i, so the secant candidate's base-field roots
+cover every cluster point; they are extracted, and one partner form per
+unplaced root gives its fiber.  Over the rationals the tangency form's roots
+are extracted too, and any locus that cannot be resolved to rational points
+is an explicit error, the tangency form's first.  Over a prime field the
+rational clusters are returned, and points over extension fields can
+optionally be certified absent, from the residual degrees of the two
+candidate forms.
 """
 
 from __future__ import annotations
@@ -339,16 +342,18 @@ def _secant_candidate_form(center: ProjectionCenter, biforms):
     )
 
 
-def _candidate_roots(center: ProjectionCenter, memo: dict | None):
-    """Yield (kind, base-field roots, residual degree) for the tangency form,
-    then for the secant candidate form; the roots cover every ramification
-    point defined over the base field.  The biforms G_i and each form are
-    computed on first use and kept in ``memo`` when one is given, so one
-    analysis builds each once."""
+def _candidate_roots(center: ProjectionCenter, memo: dict | None, kinds=("tangency", "secant")):
+    """Yield (kind, base-field roots, residual degree) for each kind of
+    candidate form, the tangency form and the secant candidate by default; the
+    secant candidate's roots alone cover every ramification point defined over
+    the base field.  The biforms G_i and each form are computed on first use
+    and kept in ``memo`` when one is given, so one analysis builds each once."""
     memo = {} if memo is None else memo
     if "biforms" not in memo:
         memo["biforms"] = _syzygy_biforms(center)
     for kind, make in (("tangency", _tangency_form), ("secant", _secant_candidate_form)):
+        if kind not in kinds:
+            continue
         if kind not in memo:
             form = make(center, memo["biforms"])
             memo[kind] = binforms.projective_roots(form) if binforms.form_has_roots(form) else None
@@ -386,8 +391,9 @@ _IRRATIONAL_CANDIDATES = {
 
 
 def find_ramification(center: ProjectionCenter, curve, _memo=None):
-    """All clusters of points collapsed by the projection, from the candidate
-    forms' base-field roots, one partner form per unplaced root.
+    """All clusters of points collapsed by the projection, from the secant
+    candidate's base-field roots (over Q the tangency form's first), one
+    partner form per unplaced root.
 
     Requires a basepoint-free center.  Over Q a residual factor raises; over
     F_p points over extensions are ignored, so the clusters are those of the
@@ -411,7 +417,10 @@ def find_ramification(center: ProjectionCenter, curve, _memo=None):
         candidates = curve.all_points()
     else:
         candidates = []
-        for kind, roots, residual in _candidate_roots(center, _memo):
+        # every tangent point is a secant root; over Q the tangency form names
+        # an irrational tangent point in the error
+        kinds = ("secant",) if p else ("tangency", "secant")
+        for kind, roots, residual in _candidate_roots(center, _memo, kinds):
             if residual and not p:
                 raise IrrationalRamificationError(_IRRATIONAL_CANDIDATES[kind])
             candidates += [CurvePoint(field, a, b) for (a, b), _ in roots]

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 import pytest
@@ -546,6 +547,107 @@ def test_fuzz_key_lemma_params_validated(params):
     job = {"command": "fuzz-key-lemma", "field": "Fp:101", "params": params}
     code, out = run_job(job)
     assert code == 2 and out["error"]["kind"] == "ValidationError"
+
+
+_FUZZ_PARAMS = [{"count": 10}] + [{"max_delta": m} for m in (0, 2, 5, 7)] + [
+    {"max_branches": b} for b in (1, 4)
+]
+
+
+@pytest.mark.parametrize("field", ["Fp:3", "Fp:101", "Fp:2147483647", "rational"])
+def test_fuzz_skip_never_changes_a_result(monkeypatch, field):
+    """A draw whose delta bound exceeds max_delta is skipped before its
+    closure; with a bound of 0, which skips nothing, every envelope is the
+    same, and so is every lemma check, draw by draw."""
+    bounds, checks = [], []
+    bound, holds = cli.delta_lower_bound, cli.key_lemma_holds
+
+    def counted(space):
+        bounds.append(bound(space))
+        return bounds[-1]
+
+    def logged(gap, gamma):
+        checks.append((gap.arity, gap.degree(), gamma))
+        return holds(gap, gamma)
+
+    jobs = [{"command": "fuzz-key-lemma", "field": field, "seed": seed, "params": p}
+            for seed, p in enumerate(_FUZZ_PARAMS)]
+    monkeypatch.setattr(cli, "key_lemma_holds", logged)
+    monkeypatch.setattr(cli, "delta_lower_bound", counted)
+    with_skip = [cli._dump(run_job(job)[1]) for job in jobs]
+    kept = list(checks)
+    checks.clear()
+    monkeypatch.setattr(cli, "delta_lower_bound", lambda space: 0)
+    assert [cli._dump(run_job(job)[1]) for job in jobs] == with_skip
+    assert checks == kept
+    assert all(json.loads(out)["ok"] for out in with_skip)
+    assert any(b > 7 for b in bounds)
+
+
+def test_skipped_fuzz_draws_are_discarded(monkeypatch):
+    """On the first 48 jobs of the benchmark's seed-42 fuzz batches, every
+    skipped draw, closed, is one the fuzz discards: its degree is not
+    certified or exceeds max_delta."""
+    from gapcurve.errors import GapcurveError
+    from gapcurve.gaps import ALGEBRA_CLOSED, GapFunction, close_algebra
+
+    rng = random.Random(42)
+    seeds = []
+    while len(seeds) < 48:
+        seed = rng.randrange(2**31)
+        if seed not in seeds:
+            seeds.append(seed)
+    skipped = []
+    bound = cli.delta_lower_bound
+
+    def recorded(space):
+        b = bound(space)
+        if b > 4:
+            skipped.append(space)
+        return b
+
+    monkeypatch.setattr(cli, "delta_lower_bound", recorded)
+    for seed in seeds:
+        job = {"command": "fuzz-key-lemma", "field": "Fp:101", "seed": seed,
+               "params": {"count": 10}}
+        assert run_job(job)[1]["result"]["checked"] == 10
+    assert len(skipped) > 500
+    for space in skipped:
+        gap = GapFunction(close_algebra(space), ALGEBRA_CLOSED)
+        try:
+            delta = gap.degree()
+        except GapcurveError:
+            continue
+        assert delta > 4
+
+
+def test_fuzz_truncation_above_the_cap_is_validation_error():
+    # N = 2*max_delta + 6: the cap is checked before any array is built
+    for cap, max_delta in ((64, 30), (64, 2000), (10, 3)):
+        job = {"command": "fuzz-key-lemma", "field": "Fp:101", "truncation_cap": cap,
+               "params": {"count": 1, "max_delta": max_delta}}
+        code, out = run_job(job)
+        assert code == 2 and out["error"]["kind"] == "ValidationError"
+        message = out["error"]["message"]
+        assert f"= {2 * max_delta + 6}," in message and f"truncation_cap {cap}" in message
+    job = {"command": "fuzz-key-lemma", "field": "Fp:101", "truncation_cap": 10,
+           "params": {"count": 2, "max_delta": 2}}
+    code, out = run_job(job)
+    assert code == 0 and out["result"]["checked"] == 2
+
+
+def test_classify_series_truncation_above_the_cap_is_validation_error():
+    params = {"branches": 1, "adjoin_unit": True, "vectors": [[[0, 2, 1]], [[0, 3, 1]]]}
+    for cap, truncation in ((64, 65), (12, 16), (8, 10**9)):
+        job = {"command": "classify-series", "field": "Fp:101", "truncation_cap": cap,
+               "params": dict(params, truncation=truncation)}
+        code, out = run_job(job)
+        assert code == 2 and out["error"]["kind"] == "ValidationError"
+        assert out["error"]["message"] == f"truncation {truncation} exceeds truncation_cap {cap}"
+    job = {"command": "classify-series", "field": "Fp:101", "truncation_cap": 12,
+           "params": dict(params, truncation=12)}
+    code, out = run_job(job)
+    assert code == 0 and out["result"]["delta"] == 1
 
 
 def test_fuzz_key_lemma_zero_count():

@@ -15,9 +15,10 @@ from gapcurve.gaps import (
     close_algebra,
     close_and_stabilize,
     compositions,
+    delta_lower_bound,
     key_lemma_holds,
 )
-from gapcurve.series import Ambient, SeriesSubspace, TruncatedSeries
+from gapcurve.series import INF, Ambient, SeriesSubspace, TruncatedSeries
 
 from conftest import fuzz_space, per_cell_jet_rank, stacked_closure
 
@@ -471,3 +472,87 @@ def test_no_window_line_is_eliminated_twice(monkeypatch):
     assert cli.run(job)[1]["result"]["all_hold"]
     assert len(heads) > 100
     assert len(set(heads)) == len(heads)
+
+
+# ---------------------------------------------------------------------------
+# the lower bound on delta from column supports
+
+
+def random_unit_space(field, rng, r, n):
+    """A unit with random nonzero constant terms (and sometimes higher terms),
+    the fuzz draws t^e + c t^(e+1) per branch, and up to two vectors across
+    random branches whose terms may be constant."""
+    amb = Ambient(field, r, n)
+
+    def nonzero():
+        x = field.random_element(rng)
+        return x if x else field.one
+
+    unit = [(i, 0, nonzero()) for i in range(r)]
+    unit += [(i, rng.randrange(1, 4), field.random_element(rng)) for i in range(r) if rng.random() < 0.3]
+    vectors = [TruncatedSeries.from_monomials(amb, unit)]
+    for i in range(r):
+        for e in sorted({rng.randrange(1, 6) for _ in range(rng.randrange(1, 4))}):
+            terms = [(i, e, field.one)]
+            if rng.random() < 0.5:
+                terms.append((i, e + 1, field.random_element(rng)))
+            vectors.append(TruncatedSeries.from_monomials(amb, terms))
+    for _ in range(rng.randrange(3)):
+        branches = rng.sample(range(r), rng.randrange(1, r + 1))
+        terms = [(i, rng.randrange(5), field.random_element(rng)) for i in branches]
+        vectors.append(TruncatedSeries.from_monomials(amb, terms))
+    return SeriesSubspace.span(amb, vectors)
+
+
+@pytest.mark.parametrize(
+    "field", [GF(3), GF(101), GF(2**31 - 1), QQ], ids=["Fp:3", "Fp:101", "p=2^31-1", "rational"]
+)
+def test_delta_lower_bound_below_every_certified_degree(field):
+    """Soundness against the closure: whenever degree() certifies delta, the
+    bound read before any closure is at most delta; and it is delta itself on
+    most spaces, so it is no vacuous 0."""
+    rng = random.Random(28 + field.characteristic)
+    certified = tight = 0
+    for n in (8, 14, 20):
+        for r in (1, 2, 3):
+            for _ in range(30):
+                space = random_unit_space(field, rng, r, n)
+                bound = delta_lower_bound(space)
+                gap = GapFunction(close_algebra(space), ALGEBRA_CLOSED)
+                try:
+                    delta = gap.degree()
+                except NotStabilizedError:
+                    continue
+                assert bound <= delta, (n, space.rows)
+                certified += 1
+                tight += bound == delta
+    assert certified >= 150
+    assert tight >= 0.8 * certified
+
+
+def _series_space(field, r, n, vectors):
+    """The span of vectors given as lists of (branch, exponent, coeff) terms."""
+    amb = Ambient(field, r, n)
+    return SeriesSubspace.span(amb, [TruncatedSeries.from_monomials(amb, v) for v in vectors])
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=["Fp:3", "rational"])
+def test_delta_lower_bound_named_spaces(field):
+    one = [(0, 0, 1)]
+    cases = [
+        (1, [one, [(0, 2, 1)], [(0, 3, 1)]], 1),  # the cusp
+        (2, [[(0, 0, 1), (1, 0, 1)], [(0, 1, 1)], [(1, 1, 1)]], 1),  # the node
+        (1, [one, [(0, 2, 1), (0, 3, 1)]], INF),  # K[t^2 + t^3]
+        (2, [[(0, 0, 1), (1, 0, 1)], [(0, 1, 1)], [(1, 2, 1)], [(1, 4, 1)]], INF),  # gcd 2
+        # t^3 of t^2 + t^3 counts: (t^2 + t^3)^2 - t^4 has order 5, delta is 2
+        (1, [one, [(0, 2, 1), (0, 3, 1)], [(0, 4, 1)]], 1),
+        # constant terms (1, 1, 1) and (1, 1, 0): two blocks of branches
+        (3, [[(0, 0, 1), (1, 0, 1), (2, 0, 1)], [(0, 0, 1), (1, 0, 1)]]
+            + [[(i, 1, 1)] for i in range(3)], 1),
+    ]
+    for r, vectors, want in cases:
+        assert delta_lower_bound(_series_space(field, r, 14, vectors)) == want, vectors
+    # the last two against their closures: the bound need not be delta
+    for r, vectors, delta in ((1, cases[4][1], 2), (3, cases[5][1], 1)):
+        gap = GapFunction(close_algebra(_series_space(field, r, 14, vectors)), ALGEBRA_CLOSED)
+        assert gap.degree() == delta
